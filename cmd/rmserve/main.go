@@ -232,8 +232,8 @@ func main() {
 				fatal(fmt.Errorf("loading %s: %w", *cacheWarm, err))
 			}
 			ss := shared.Stats()
-			fmt.Printf("cache warm: %d entries loaded from %s (%d exact)\n",
-				ss.Loaded, *cacheWarm, ss.ExactEntries)
+			fmt.Printf("cache warm: %d entries loaded from %s (%d exact, %d searched to completion, %d to budget)\n",
+				ss.Loaded, *cacheWarm, ss.ExactEntries, ss.SearchedToCompletion, ss.SearchedToBudget)
 		}
 	}
 
@@ -681,8 +681,9 @@ func report(f *fleet.Fleet, wall time.Duration, cache, verbose, daemon bool, dev
 	}
 	if st := f.SharedTier(); st != nil {
 		ss := st.Stats()
-		fmt.Printf("shared tier:     %d entries (%d exact), %d hits, %d promotions (%d merge-dropped)\n",
-			ss.Entries, ss.ExactEntries, s.CacheSharedHits, s.CachePromotions, ss.PromotionsDropped)
+		fmt.Printf("shared tier:     %d entries (%d exact, %d searched to completion, %d to budget), %d hits, %d promotions (%d merge-dropped)\n",
+			ss.Entries, ss.ExactEntries, ss.SearchedToCompletion, ss.SearchedToBudget,
+			s.CacheSharedHits, s.CachePromotions, ss.PromotionsDropped)
 	}
 	if s.RefineSearches > 0 || s.Swaps > 0 {
 		fmt.Printf("refinement:      %d searches, %d improved, %d swaps applied, %d skipped, %d dropped\n",

@@ -133,13 +133,37 @@
 //     and with Refine off the fleet is byte-identical to previous
 //     behaviour — the equivalence suite pins device states, event
 //     logs and deterministic statistics.
+//   - search records: a search that finds nothing is still a fact
+//     worth keeping — exmem.ErrNoImprovement proves the admitted
+//     schedule optimal, exmem.ErrBudget says the same search at the
+//     same budget fails the same way. The refiner reports both through
+//     its Searched hook and the shared tier keeps, per signature, how
+//     far an exact search of that shape has been pushed without beating
+//     its incumbent: the exhausted node budget, or a sentinel
+//     (SearchComplete) for a search that ran to completion. The record
+//     belongs to the shape, not to the schedule that currently wins the
+//     entry — it merges by max and survives entry replacement, so the
+//     tier stays independent of device interleaving. The refiner's
+//     probe skips a task whose shape holds an exact entry or a record
+//     at or above the current budget; only a larger -refine-budget
+//     re-opens a budget-exhausted shape, nothing re-opens a completed
+//     one. A record never serves a schedule: everything reused from
+//     either tier is still re-validated against the concrete job set,
+//     and swap offers are still re-validated by the manager. In the
+//     warm file the record is one optional per-entry field, "searched"
+//     (version still 1; files without it load and save back
+//     unchanged), so a daemon restarted from a warm file — or a fleet
+//     meeting yesterday's shapes again — starts with the proofs instead
+//     of redoing them.
 //
 // Together they give "exact quality at heuristic latency" on a warm
 // fleet: recurring workload shapes hit exact entries at cache-lookup
 // latency from the first request on (BenchmarkFleetAnytimeWarm in
 // benchmarks/README.md records the p99/energy evidence). Per-tier
 // counters — L1 hits, shared hits, re-packs, promotions, refinement
-// searches and swaps — surface in /v1/stats and /metrics.
+// searches and swaps — surface in /v1/stats and /metrics; the tier's
+// entry, exact and searched-to-completion/-to-budget counts print in
+// rmserve's warm-load and shutdown reports.
 //
 // # Multi-node routing
 //

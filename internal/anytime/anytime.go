@@ -12,11 +12,12 @@
 //
 // The refiner itself is deliberately passive about scheduling policy:
 // it knows nothing about fleets, caches or events. The embedder wires
-// three hooks — Probe (skip work whose exact result is already
-// fleet-visible), Store (promote a refined schedule into the cache
-// tiers) and Swap (offer it to the device) — and chooses between
-// background workers (Start) and explicit stepping (TryStep), the
-// latter giving tests a virtual-clock-deterministic drive.
+// four hooks — Probe (skip work whose outcome is already fleet-visible),
+// Store (promote a refined schedule into the cache tiers), Swap (offer
+// it to the device) and Searched (remember a search that found nothing,
+// so Probe can skip its repeats) — and chooses between background
+// workers (Start) and explicit stepping (TryStep), the latter giving
+// tests a virtual-clock-deterministic drive.
 package anytime
 
 import (
@@ -67,9 +68,10 @@ type Config struct {
 	// Queue bounds the pending tasks; zero means DefaultQueue. Enqueue
 	// never blocks: offers beyond the bound are counted and dropped.
 	Queue int
-	// Probe, when set, reports whether an exact result for the task's
-	// problem is already visible (e.g. in a shared cache tier); such
-	// tasks are skipped without a search.
+	// Probe, when set, reports whether a search of the task's problem
+	// has nothing left to find: an exact result is already visible (e.g.
+	// in a shared cache tier) or Searched has recorded a search at least
+	// as deep as Budget. Such tasks are skipped without a search.
 	Probe func(Task) bool
 	// Store, when set, receives every strictly better exact schedule
 	// for promotion into the cache tiers. Called before Swap, and even
@@ -80,6 +82,13 @@ type Config struct {
 	// must tolerate rejection (stale offers are the normal case under
 	// load) and must not call back into the refiner.
 	Swap func(Task, *schedule.Schedule)
+	// Searched, when set, receives every search that ended without
+	// beating the incumbent: proved is true when the search ran to
+	// completion (exmem.ErrNoImprovement — the incumbent is optimal),
+	// false when Budget cut it off (exmem.ErrBudget — the same search at
+	// the same budget fails the same way). Neither outcome yields a
+	// schedule, so the embedder can only remember it for Probe.
+	Searched func(t Task, proved bool)
 }
 
 // Stats counts refinement activity. All counters are cumulative and
@@ -187,7 +196,8 @@ func (r *Refiner) TryStep() bool {
 	}
 }
 
-// run executes one task: probe, bounded exact search, promote, offer.
+// run executes one task: probe, bounded exact search, then promote and
+// offer what it found or report that it found nothing.
 func (r *Refiner) run(solver *exmem.Scheduler, t Task) {
 	if r.cfg.Probe != nil && r.cfg.Probe(t) {
 		r.skipped.Add(1)
@@ -206,8 +216,14 @@ func (r *Refiner) run(solver *exmem.Scheduler, t Task) {
 		}
 	case errors.Is(err, exmem.ErrNoImprovement):
 		r.noImprove.Add(1)
+		if r.cfg.Searched != nil {
+			r.cfg.Searched(t, true)
+		}
 	case errors.Is(err, exmem.ErrBudget):
 		r.budgetHit.Add(1)
+		if r.cfg.Searched != nil {
+			r.cfg.Searched(t, false)
+		}
 	default:
 		r.failed.Add(1)
 	}

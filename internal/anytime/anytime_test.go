@@ -2,6 +2,7 @@ package anytime
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -112,5 +113,41 @@ func TestCloseSemantics(t *testing.T) {
 	}
 	if s.Dropped != 1 {
 		t.Errorf("dropped = %d, want 1 (the post-close offer)", s.Dropped)
+	}
+}
+
+// The Searched hook is how a search that found nothing is remembered: it
+// fires once per such search, telling a proof (the tree ran out) from a
+// give-up (the budget ran out), and stays silent for an improvement.
+func TestSearchedHookReportsOutcome(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		budget    int64
+		incumbent float64
+		want      []bool // the hook's proved argument, per call
+		stats     Stats
+	}{
+		{"improved", 0, math.Inf(1), nil,
+			Stats{Enqueued: 1, Searches: 1, Improved: 1}},
+		{"no improvement", 0, 8.90, []bool{true},
+			Stats{Enqueued: 1, Searches: 1, NoImprovement: 1}},
+		{"budget", 1, math.Inf(1), []bool{false},
+			Stats{Enqueued: 1, Searches: 1, BudgetExhausted: 1}},
+	} {
+		var got []bool
+		r := New(Config{
+			Budget:   tc.budget,
+			Searched: func(_ Task, proved bool) { got = append(got, proved) },
+		})
+		r.Enqueue(task(tc.incumbent))
+		for r.TryStep() {
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: Searched calls = %v, want %v", tc.name, got, tc.want)
+		}
+		if s := r.Stats(); s != tc.stats {
+			t.Errorf("%s: stats = %+v, want %+v", tc.name, s, tc.stats)
+		}
+		r.Close()
 	}
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"adaptrm/internal/opset"
 	"adaptrm/internal/platform"
 	"adaptrm/internal/schedcache"
+	"adaptrm/internal/workload"
 )
 
 // anytimeDeviceConfig builds one device on the MDF-gap workload (the
@@ -330,5 +332,93 @@ func TestRecoverSwapEquivalence(t *testing.T) {
 	}
 	if res := results[0]; res.AppliedSeq != want.Seq || res.Dropped != 0 {
 		t.Errorf("recovery result %+v, want applied %d dropped 0", res, want.Seq)
+	}
+}
+
+// TestFleetAnytimeRemembersSearches replays one seeded trace twice. The
+// first pass meets every shape cold and searches it; its tier, saved and
+// loaded back as a restarted daemon would, carries a record of every
+// search that found nothing, so the second pass repeats almost none of
+// them — and still lands on the same energy, because what it skips had
+// nothing to give. The drive is sequential, so no swap offer goes stale:
+// an improvement that did not become a swap would be a schedule the
+// manager's schedule.Validate refused.
+func TestFleetAnytimeRemembersSearches(t *testing.T) {
+	const devices = 4
+	dc := anytimeDeviceConfig(t)
+	trace, err := workload.FleetTrace(dc.Library, workload.FleetTraceParams{
+		Devices: devices, Rate: 0.2, Horizon: 2000, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass := func(tier *schedcache.Shared) Stats {
+		devs := make([]DeviceConfig, devices)
+		for i := range devs {
+			devs[i] = anytimeDeviceConfig(t)
+		}
+		// A budget small enough that some searches exhaust it: both kinds
+		// of record are in play.
+		f, err := New(devs, Options{Shards: 2, Cache: true, SharedCache: tier,
+			Refine: true, RefineWorkers: -1, RefineBudget: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := f.Service()
+		for _, r := range trace {
+			_, err := svc.Submit(ctxBG, api.SubmitRequest{Device: r.Device, At: r.At, App: r.App, Deadline: r.Deadline})
+			if err != nil && !errors.Is(err, api.ErrInfeasible) {
+				t.Fatal(err)
+			}
+			for f.Refiner().TryStep() {
+			}
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return f.Stats()
+	}
+
+	cold := schedcache.NewShared()
+	first := pass(cold)
+	cs := cold.Stats()
+	if cs.SearchedToCompletion == 0 || cs.SearchedToBudget == 0 {
+		t.Fatalf("first pass left no records of both kinds: %+v", cs)
+	}
+	var file bytes.Buffer
+	if err := cold.Save(&file); err != nil {
+		t.Fatal(err)
+	}
+	warm := schedcache.NewShared()
+	if err := warm.Load(&file); err != nil {
+		t.Fatal(err)
+	}
+	if ws := warm.Stats(); ws.SearchedToCompletion != cs.SearchedToCompletion || ws.SearchedToBudget != cs.SearchedToBudget {
+		t.Fatalf("records lost in the warm file: saved %+v, loaded %+v", cs, ws)
+	}
+	second := pass(warm)
+
+	if first.RefineSearches < 100 {
+		t.Fatalf("first pass ran only %d searches: trace too small to show anything", first.RefineSearches)
+	}
+	if second.RefineSearches*10 > first.RefineSearches {
+		t.Errorf("second pass ran %d searches against the first pass's %d, want at most a tenth",
+			second.RefineSearches, first.RefineSearches)
+	}
+	if rel := math.Abs(second.Energy-first.Energy) / first.Energy; rel > 0.005 {
+		t.Errorf("second pass energy %v differs from the first pass's %v by %.2f%%, want within 0.5%%",
+			second.Energy, first.Energy, 100*rel)
+	}
+	for name, s := range map[string]Stats{"first": first, "second": second} {
+		if s.Swaps != s.RefineImproved {
+			t.Errorf("%s pass: %d improvements but %d swaps: the manager refused a refined schedule",
+				name, s.RefineImproved, s.Swaps)
+		}
+	}
+	if first.Swaps == 0 {
+		t.Error("first pass swapped nothing: the trace exercises no refinement")
+	}
+	if second.Accepted != first.Accepted || second.DeadlineMisses != 0 {
+		t.Errorf("second pass admitted %d (first %d) with %d deadline misses", second.Accepted, first.Accepted, second.DeadlineMisses)
 	}
 }

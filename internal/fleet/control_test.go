@@ -36,21 +36,27 @@ func TestControllerSteadyLightLoadEquivalence(t *testing.T) {
 		stop := make(chan struct{})
 		var tick sync.WaitGroup
 		if ctl != nil {
+			// The traffic below can finish before the scheduler ever runs
+			// the ticker, so it starts only once the first tick has landed;
+			// the later ones still race it.
+			first := make(chan struct{})
 			tick.Add(1)
 			go func() {
 				defer tick.Done()
-				now := 1.0
-				for {
+				for now := 1.0; ; now++ {
 					select {
 					case <-stop:
 						return
 					default:
 						ctl.Tick(now)
-						now++
+						if now == 1 {
+							close(first)
+						}
 						time.Sleep(200 * time.Microsecond)
 					}
 				}
 			}()
+			<-first
 		}
 
 		now := make([]float64, n)

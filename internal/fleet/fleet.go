@@ -484,19 +484,32 @@ func build(devs []DeviceConfig, opt Options) (*Fleet, error) {
 	}
 	if opt.Refine {
 		f.refineWorkers = opt.RefineWorkers
+		budget := opt.RefineBudget
+		if budget <= 0 {
+			budget = anytime.DefaultBudget
+		}
 		f.refiner = anytime.New(anytime.Config{
-			Budget: opt.RefineBudget,
+			Budget: budget,
 			Queue:  opt.RefineQueue,
-			// Skip searches whose exact result is already fleet-visible
-			// through the shared tier — another device (or the warm file)
-			// solved the same problem shape.
+			// Skip searches with nothing left to find: the shared tier —
+			// filled by another device or the warm file — already holds
+			// an exact schedule for the problem shape, or remembers a
+			// search at least this deep that did not beat its incumbent.
 			Probe: func(t anytime.Task) bool {
 				d := f.devices[t.Device]
-				if d.cache == nil {
-					return false
+				return d.cache != nil && d.cache.ProbeSearched(t.Jobs, t.Plat, t.Now, budget)
+			},
+			// Remember a search that found nothing, so that no device (and
+			// no daemon warmed from this tier's file) repeats it at this
+			// budget.
+			Searched: func(t anytime.Task, proved bool) {
+				depth := budget
+				if proved {
+					depth = schedcache.SearchComplete
 				}
-				exact, ok := d.cache.ProbeShared(t.Jobs, t.Plat, t.Now)
-				return ok && exact
+				if d := f.devices[t.Device]; d.cache != nil {
+					d.cache.RecordSearched(t.Jobs, t.Plat, t.Now, depth)
+				}
 			},
 			// Promote the refined schedule into the cache tiers keyed by
 			// the captured problem — worthwhile even when the swap offer

@@ -659,6 +659,9 @@ func TestFlightlogEndpoint(t *testing.T) {
 		flightlog.Tail(tailCtx, fl, f.Service())
 	}()
 	defer func() { cancelTail(); <-done }()
+	// The submit's events reach the ring only if the tail is watching by
+	// then; a watch opened later starts after them.
+	waitFor(t, func() bool { return f.Stats().WatchSubscribers >= 1 })
 
 	ts := httptest.NewServer(mustServer(t, f.Service(), httpapi.ServerOptions{FlightLog: fl}))
 	defer ts.Close()

@@ -373,28 +373,48 @@ func (c *Cache) SharedTier() *Shared {
 	return c.shared
 }
 
-// ProbeShared reports whether the shared tier holds an entry for the
-// signature of (jobs, plat, t) — and whether that entry came from an
-// exact solver — without reconstructing a schedule or touching the hit
-// counters. The anytime refiner uses it to skip solves whose result is
-// already fleet-visible; the probe performs zero heap allocations
-// (signature built in cache scratch, pinned by
+// ProbeSearched reports whether a refinement search of (jobs, plat, t)
+// at the given node budget has nothing left to find: the shared tier
+// holds an exact entry for the signature, or a search record at least
+// that deep (see RecordSearched). It reconstructs no schedule and leaves
+// the hit counters alone. The anytime refiner uses it to skip searches
+// whose outcome is already fleet-visible; the probe performs zero heap
+// allocations (signature built in cache scratch, pinned by
 // BenchmarkSharedTierLookup).
-func (c *Cache) ProbeShared(jobs job.Set, plat platform.Platform, t float64) (exact, ok bool) {
-	c.mu.Lock()
-	shared := c.shared
-	c.mu.Unlock()
+func (c *Cache) ProbeSearched(jobs job.Set, plat platform.Platform, t float64, budget int64) bool {
+	skip := false
+	c.withSharedSig(jobs, plat, t, func(shared *Shared, sig []byte) {
+		skip = shared.probeBytes(sig, budget)
+	})
+	return skip
+}
+
+// RecordSearched remembers in the shared tier that an exact search of
+// (jobs, plat, t) was pushed to depth nodes without beating its
+// incumbent — SearchComplete when it ran to completion. The record
+// belongs to the signature, merges by max and rides the warm file.
+func (c *Cache) RecordSearched(jobs job.Set, plat platform.Platform, t float64, depth int64) {
+	c.withSharedSig(jobs, plat, t, func(shared *Shared, sig []byte) {
+		shared.recordBytes(sig, depth)
+	})
+}
+
+// withSharedSig calls fn with the attached shared tier and the signature
+// bytes of (jobs, plat, t), valid only during the call; without a tier
+// it does nothing. The signature is built in the cache's scratch when no
+// other caller holds it, which keeps the common path allocation-free.
+func (c *Cache) withSharedSig(jobs job.Set, plat platform.Platform, t float64, fn func(*Shared, []byte)) {
+	shared := c.SharedTier()
 	if shared == nil {
-		return false, false
+		return
 	}
 	if c.sigMu.TryLock() {
-		sig := c.scratch.signature(jobs, plat, t, c.params)
-		exact, ok = shared.probeBytes(sig)
-		c.sigMu.Unlock()
-		return exact, ok
+		defer c.sigMu.Unlock()
+		fn(shared, c.scratch.signature(jobs, plat, t, c.params))
+		return
 	}
 	entries, order := canonical(jobs, t, c.params)
-	return shared.probeBytes(appendSignature(nil, plat, entries, order))
+	fn(shared, appendSignature(nil, plat, entries, order))
 }
 
 // Lookup returns a schedule for (jobs, plat, t) reconstructed from a

@@ -208,12 +208,12 @@ func TestStoreExactPreferredInMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Store(jobs, plat, 0, k)
-	if exact, ok := c.ProbeShared(jobs, plat, 0); !ok || exact {
-		t.Fatalf("probe after heuristic store = (exact=%v, ok=%v)", exact, ok)
+	if c.ProbeSearched(jobs, plat, 0, 1) {
+		t.Fatal("probe skips a shape that holds only a heuristic entry")
 	}
 	c.StoreExact(jobs, plat, 0, k)
-	if exact, ok := c.ProbeShared(jobs, plat, 0); !ok || !exact {
-		t.Fatalf("probe after exact store = (exact=%v, ok=%v)", exact, ok)
+	if !c.ProbeSearched(jobs, plat, 0, SearchComplete) {
+		t.Fatal("probe does not skip a shape that holds an exact entry")
 	}
 	if st := c.Stats(); st.Promotions != 2 {
 		t.Fatalf("promotions = %d, want 2 (exact replaced heuristic)", st.Promotions)
@@ -224,7 +224,7 @@ func TestStoreExactPreferredInMerge(t *testing.T) {
 // cache scratch and the map is indexed through the byteslice-to-string
 // conversion elision. The CI allocs gate pins the benchmark flavour of
 // this at 0 allocs/op.
-func TestProbeSharedAllocFree(t *testing.T) {
+func TestProbeSearchedAllocFree(t *testing.T) {
 	plat := motiv.Platform()
 	tier := NewShared()
 	c := New(Params{})
@@ -236,11 +236,12 @@ func TestProbeSharedAllocFree(t *testing.T) {
 	}
 	c.Store(jobs, plat, 0, k)
 	if n := testing.AllocsPerRun(200, func() {
-		if _, ok := c.ProbeShared(jobs, plat, 0); !ok {
-			t.Fatal("probe missed")
+		c.RecordSearched(jobs, plat, 0, 500)
+		if !c.ProbeSearched(jobs, plat, 0, 500) {
+			t.Fatal("probe missed the record")
 		}
 	}); n != 0 {
-		t.Fatalf("ProbeShared allocates %v per run, want 0", n)
+		t.Fatalf("RecordSearched + ProbeSearched allocate %v per run, want 0", n)
 	}
 }
 
@@ -258,11 +259,12 @@ func BenchmarkSharedTierLookup(b *testing.B) {
 		b.Fatal(err)
 	}
 	c.Store(jobs, plat, 0, k)
+	c.RecordSearched(jobs, plat, 0, 500)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := c.ProbeShared(jobs, plat, 0); !ok {
-			b.Fatal("probe missed")
+		if !c.ProbeSearched(jobs, plat, 0, 500) {
+			b.Fatal("probe missed the record")
 		}
 	}
 }

@@ -9,6 +9,15 @@
 # latency from the first request on (see benchmarks/README.md,
 # "Anytime refinement on a warm fleet").
 #
+# The file also carries "don't search this again" records: for every
+# shape whose search found nothing better than the admitted schedule, how
+# far that search was pushed ("searched" on the entry — the node budget
+# it exhausted, or 9223372036854775807 for a search that ran to
+# completion). A daemon warmed from the file skips refinement of a shape
+# whose record reaches its own -refine-budget, so WARM_BUDGET decides how
+# far the records reach: build the file with at least the budget the
+# daemon will run with, or the budget-exhausted shapes are searched again.
+#
 # The file format is canonical JSON sorted by signature: regenerating
 # with the same trace parameters and binary produces a byte-identical
 # file, so warm files can be diffed and cached in CI.
