@@ -412,6 +412,12 @@ type routeConfig struct {
 	pprofToken               string
 }
 
+// peerTimeout bounds how long a routed call waits for a peer node to
+// answer before the peer counts as unavailable (HTTP 502 to the
+// client). It is far above any admission a healthy node decides, so it
+// only ends calls to a peer that hangs.
+const peerTimeout = 30 * time.Second
+
 // serveRouter runs the multi-node routing front-end: a consistent-hash
 // ring over the -peers backends, served over the same HTTP protocol as
 // a single node — clients cannot tell a router from a fleet, except
@@ -433,7 +439,7 @@ func serveRouter(cfg routeConfig) {
 			base = "http://" + base
 		}
 		backends = append(backends, router.Backend{
-			Name: p, Service: httpapi.NewClient(base, cfg.peerToken, nil),
+			Name: p, Service: httpapi.NewClient(base, cfg.peerToken, httpapi.NewPeerHTTPClient(peerTimeout)),
 		})
 	}
 	if len(backends) == 0 {

@@ -40,7 +40,15 @@
 //     matching Go client — itself a Service, behaviourally
 //     interchangeable with the in-process fleet (the test suite holds
 //     both to identical deterministic results). cmd/rmserve -listen
-//     runs the ready-made daemon.
+//     runs the ready-made daemon. The hot verbs — submit, advance and
+//     cancel, requests and results — skip reflection on both sides of
+//     the wire: a hand-written codec writes exactly the bytes
+//     encoding/json writes and reads the canonical JSON subset those
+//     bytes belong to, and hands anything else (escapes, non-ASCII,
+//     null, unknown or case-variant keys, malformed input) to
+//     encoding/json over the same bytes, so the wire and every
+//     accept/reject decision are unchanged. FuzzWireCodec holds it to
+//     encoding/json.
 //   - batched admission: SubmitBatch decides several same-time requests
 //     for one device in a single call; a jointly feasible batch costs
 //     one scheduler activation instead of one per request (the solve
@@ -195,11 +203,15 @@
 //     backend, preserving per-device sequence order; single-device
 //     watches, including FromSeq resumes, delegate wholesale to the
 //     owner, whose retention ring holds the history. Backend taxonomy
-//     errors and context cancellations pass through untouched — a
-//     client two HTTP hops away still matches errors.Is against the
-//     same sentinels — while transport failures surface as
+//     errors and the caller's own context cancellations pass through
+//     untouched — a client two HTTP hops away still matches errors.Is
+//     against the same sentinels — while transport failures surface as
 //     ErrUnavailable naming the dead peer (HTTP 502 on the wire), and
 //     a merged query refuses rather than return a silent partial sum.
+//     rmserve's router gives each peer a response deadline
+//     (httpapi.NewPeerHTTPClient, 30 s): a peer that accepts the
+//     connection and never answers is unavailable once it passes, while
+//     open watch streams are never cut.
 //     The router is itself a Service, so it serves through the same
 //     HTTP front-end: rmserve -route -peers host1:p,host2:p boots a
 //     routing daemon whose /metrics adds per-peer request counters,

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -161,14 +162,19 @@ func (s *subscriber) pop() (api.Event, bool) {
 	return ev, ok
 }
 
-// hub is the fleet-wide subscriber registry. The lock is read-write so
+// hub is the fleet-wide subscriber registry, indexed so that publishing
+// touches only the subscribers an event is for: the fleet-wide ones and
+// those filtering on the event's device. The lock is read-write so
 // publishing — the per-event hot path every shard worker runs — only
-// shares the subscriber set; exclusive access is reserved for the rare
-// membership changes.
+// shares the index; exclusive access is reserved for the rare
+// membership changes, which edit the slices in place.
 type hub struct {
-	mu     sync.RWMutex
-	subs   map[*subscriber]struct{}
-	closed bool
+	mu sync.RWMutex
+	// all holds the fleet-wide subscribers, byDevice[d] those filtering
+	// on device d (grown on demand).
+	all      []*subscriber
+	byDevice [][]*subscriber
+	closed   bool
 	// done is closed by close(), releasing every pump for final drain.
 	done chan struct{}
 	// dropped counts events discarded from slow subscribers' rings,
@@ -181,11 +187,15 @@ type hub struct {
 func (h *hub) subscribers() int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return len(h.subs)
+	n := len(h.all)
+	for _, subs := range h.byDevice {
+		n += len(subs)
+	}
+	return n
 }
 
 func newHub() *hub {
-	return &hub{subs: make(map[*subscriber]struct{}), done: make(chan struct{})}
+	return &hub{done: make(chan struct{})}
 }
 
 // publish offers ev to every matching subscriber. It never blocks on
@@ -195,10 +205,13 @@ func newHub() *hub {
 // subscriber's ring serializes offers with its own mutex.
 func (h *hub) publish(ev api.Event) {
 	h.mu.RLock()
-	for s := range h.subs {
-		if s.device < 0 || s.device == ev.Device {
+	if ev.Device >= 0 && ev.Device < len(h.byDevice) {
+		for _, s := range h.byDevice[ev.Device] {
 			s.offer(ev)
 		}
+	}
+	for _, s := range h.all {
+		s.offer(ev)
 	}
 	h.mu.RUnlock()
 }
@@ -210,13 +223,26 @@ func (h *hub) register(s *subscriber) error {
 	if h.closed {
 		return errClosed
 	}
-	h.subs[s] = struct{}{}
+	if s.device < 0 {
+		h.all = append(h.all, s)
+	} else {
+		if s.device >= len(h.byDevice) {
+			h.byDevice = append(h.byDevice, make([][]*subscriber, s.device+1-len(h.byDevice))...)
+		}
+		h.byDevice[s.device] = append(h.byDevice[s.device], s)
+	}
 	return nil
 }
 
 func (h *hub) unregister(s *subscriber) {
 	h.mu.Lock()
-	delete(h.subs, s)
+	list := &h.all
+	if s.device >= 0 {
+		list = &h.byDevice[s.device]
+	}
+	if i := slices.Index(*list, s); i >= 0 {
+		*list = slices.Delete(*list, i, i+1)
+	}
 	h.mu.Unlock()
 }
 

@@ -398,11 +398,25 @@ type errEnvelope struct {
 	Result any        `json:"result,omitempty"`
 }
 
-// writeJSON writes a JSON body with the given status.
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
+// jsonContentType is the Content-Type value of every JSON response,
+// shared so that setting the header does not allocate.
+var jsonContentType = []string{"application/json"}
+
+// writeJSON writes a JSON body with the given status: exactly the bytes
+// json.Encoder writes (trailing newline included), through the wire
+// codec when body is a hot message. A body encoding/json refuses is
+// sent as the status alone, with no body.
+func writeJSON[T any](w http.ResponseWriter, status int, body T) {
+	w.Header()["Content-Type"] = jsonContentType
+	buf := getBuf()
+	defer putBuf(buf)
+	if b, ok := appendWire(buf.AvailableBuffer(), any(body)); ok {
+		buf.Write(append(b, '\n'))
+	} else if err := json.NewEncoder(buf).Encode(body); err != nil {
+		buf.Reset()
+	}
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
+	_, _ = w.Write(buf.Bytes())
 }
 
 // writeError serialises an error chain: the first *Error in the chain
@@ -456,13 +470,20 @@ func allow(t *tenantState, dev int) error {
 // are a few hundred bytes, so 1 MiB is generous.
 const maxBodyBytes = 1 << 20
 
-// decode reads a bounded JSON request body; failures map to
-// bad_request, except an over-limit body, which gets its own 413 code
-// so clients can tell "shrink the payload" from "fix the JSON".
-func decode(w http.ResponseWriter, r *http.Request, into any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
+// decode reads a bounded JSON request body into *into, which must be
+// zero; failures map to bad_request, except an over-limit body, which
+// gets its own 413 code so clients can tell "shrink the payload" from
+// "fix the JSON". The body is read whole into a pooled buffer and
+// decoded by the wire codec, or by a json.Decoder with
+// DisallowUnknownFields over the same bytes when the codec declines —
+// so what is accepted, and what it decodes to, is encoding/json's (see
+// wire.go). Reading the whole body means a client streaming bytes after
+// a complete object is answered only once it finishes, or hits the
+// limit.
+func decode[T any](w http.ResponseWriter, r *http.Request, into *T) error {
+	buf := getBuf()
+	defer putBuf(buf)
+	if err := readDecode(http.MaxBytesReader(w, r.Body, maxBodyBytes), buf, into, true); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			return api.Errf(api.ErrPayloadTooLarge, "body exceeds %d bytes", tooBig.Limit)

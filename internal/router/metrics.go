@@ -98,20 +98,15 @@ var peerErrClass = func() map[string]struct{} {
 	return s
 }()
 
-// begin records the start of one routed call against peer p; the
-// returned func records completion with the call's (already folded)
-// error. Recording is two atomic increments and a histogram
-// observation — nothing on the routing path allocates beyond the
-// closure.
-func (m *routerMetrics) begin(p int, op string) func(err error) {
+// record counts one routed call against peer p, started at start, with
+// the call's (already folded) error. Recording is two atomic increments
+// and a histogram observation; nothing on the routing path allocates.
+func (m *routerMetrics) record(p int, op string, start time.Time, err error) {
 	pm := m.peers[p]
-	start := time.Now()
-	return func(err error) {
-		pm.requests[op].Inc()
-		pm.latency.Observe(int64(time.Since(start)))
-		if err != nil {
-			pm.errors[classOf(err)].Inc()
-		}
+	pm.requests[op].Inc()
+	pm.latency.Observe(int64(time.Since(start)))
+	if err != nil {
+		pm.errors[classOf(err)].Inc()
 	}
 }
 

@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"adaptrm/internal/api"
 	"adaptrm/internal/control"
@@ -94,12 +95,16 @@ func (r *Router) ownerOf(device int) int { return r.place.Owner(device) }
 
 // peerError classifies a backend call's failure. Taxonomy errors pass
 // through untouched — the backend answered, its verdict stands two hops
-// away exactly as it would in process. Context endings pass through —
-// the caller gave up, the peer is not to blame. Everything else is a
-// transport failure (connection refused, reset mid-call, a proxy
-// mangling the envelope): the peer is unreachable, which the taxonomy
-// spells api.ErrUnavailable, with the peer named for the operator.
-func (r *Router) peerError(peer int, err error) error {
+// away exactly as it would in process. A context ending passes through
+// when it is the caller's own — ctx is done, so the caller gave up and
+// the peer is not to blame. Everything else is a transport failure
+// (connection refused, reset mid-call, a proxy mangling the envelope, a
+// peer that did not answer within the client's deadline): the peer is
+// unreachable, which the taxonomy spells api.ErrUnavailable, with the
+// peer named for the operator. The caller's context decides, not the
+// error's shape: net/http reports its own client timeouts as errors
+// matching context.DeadlineExceeded.
+func (r *Router) peerError(ctx context.Context, peer int, err error) error {
 	if err == nil {
 		return nil
 	}
@@ -107,44 +112,39 @@ func (r *Router) peerError(peer int, err error) error {
 	if errors.As(err, &ae) {
 		return err
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if ctx.Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		return err
 	}
 	return api.Errf(api.ErrUnavailable, "peer %s: %v", r.backends[peer].Name, err)
 }
 
-// route runs one device-addressed call against the owning backend,
-// recording per-peer metrics and folding transport failures into the
-// taxonomy.
-func route[Res any](r *Router, device int, op string,
-	call func(b Backend) (Res, error)) (Res, error) {
-	p := r.ownerOf(device)
-	stop := r.metrics.begin(p, op)
-	res, err := call(r.backends[p])
-	err = r.peerError(p, err)
-	stop(err)
-	return res, err
+// finish folds a routed call's error into the taxonomy and records the
+// call against peer p, started at start.
+func (r *Router) finish(ctx context.Context, p int, op string, start time.Time, err error) error {
+	err = r.peerError(ctx, p, err)
+	r.metrics.record(p, op, start, err)
+	return err
 }
 
 // Submit implements api.Service, delegating to the device's owner.
 func (r *Router) Submit(ctx context.Context, req api.SubmitRequest) (api.SubmitResult, error) {
-	return route(r, req.Device, opSubmit, func(b Backend) (api.SubmitResult, error) {
-		return b.Service.Submit(ctx, req)
-	})
+	p, start := r.ownerOf(req.Device), time.Now()
+	res, err := r.backends[p].Service.Submit(ctx, req)
+	return res, r.finish(ctx, p, opSubmit, start, err)
 }
 
 // Advance implements api.Service, delegating to the device's owner.
 func (r *Router) Advance(ctx context.Context, req api.AdvanceRequest) (api.AdvanceResult, error) {
-	return route(r, req.Device, opAdvance, func(b Backend) (api.AdvanceResult, error) {
-		return b.Service.Advance(ctx, req)
-	})
+	p, start := r.ownerOf(req.Device), time.Now()
+	res, err := r.backends[p].Service.Advance(ctx, req)
+	return res, r.finish(ctx, p, opAdvance, start, err)
 }
 
 // Cancel implements api.Service, delegating to the device's owner.
 func (r *Router) Cancel(ctx context.Context, req api.CancelRequest) (api.CancelResult, error) {
-	return route(r, req.Device, opCancel, func(b Backend) (api.CancelResult, error) {
-		return b.Service.Cancel(ctx, req)
-	})
+	p, start := r.ownerOf(req.Device), time.Now()
+	res, err := r.backends[p].Service.Cancel(ctx, req)
+	return res, r.finish(ctx, p, opCancel, start, err)
 }
 
 // SubmitBatch implements api.BatchService: the whole batch addresses
@@ -152,9 +152,9 @@ func (r *Router) Cancel(ctx context.Context, req api.CancelRequest) (api.CancelR
 // is only a plain Service decides the items sequentially through the
 // api.SubmitBatch fallback — verdicts are identical either way.
 func (r *Router) SubmitBatch(ctx context.Context, req api.BatchSubmitRequest) (api.BatchSubmitResult, error) {
-	return route(r, req.Device, opBatch, func(b Backend) (api.BatchSubmitResult, error) {
-		return api.SubmitBatch(ctx, b.Service, req)
-	})
+	p, start := r.ownerOf(req.Device), time.Now()
+	res, err := api.SubmitBatch(ctx, r.backends[p].Service, req)
+	return res, r.finish(ctx, p, opBatch, start, err)
 }
 
 // Stats implements api.Service. A single-device query routes to the
@@ -165,9 +165,9 @@ func (r *Router) SubmitBatch(ctx context.Context, req api.BatchSubmitRequest) (a
 // node's counters would be indistinguishable from real values.
 func (r *Router) Stats(ctx context.Context, req api.StatsRequest) (api.StatsResult, error) {
 	if req.Device != nil {
-		return route(r, *req.Device, opStats, func(b Backend) (api.StatsResult, error) {
-			return b.Service.Stats(ctx, req)
-		})
+		p, start := r.ownerOf(*req.Device), time.Now()
+		res, err := r.backends[p].Service.Stats(ctx, req)
+		return res, r.finish(ctx, p, opStats, start, err)
 	}
 	results := make([]api.StatsResult, len(r.backends))
 	errs := make([]error, len(r.backends))
@@ -176,11 +176,9 @@ func (r *Router) Stats(ctx context.Context, req api.StatsRequest) (api.StatsResu
 	for i := range r.backends {
 		go func(i int) {
 			defer wg.Done()
-			stop := r.metrics.begin(i, opStats)
+			start := time.Now()
 			res, err := r.backends[i].Service.Stats(ctx, req)
-			err = r.peerError(i, err)
-			stop(err)
-			results[i], errs[i] = res, err
+			results[i], errs[i] = res, r.finish(ctx, i, opStats, start, err)
 		}(i)
 	}
 	wg.Wait()

@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"adaptrm/internal/api"
 	"adaptrm/internal/core"
@@ -422,8 +425,10 @@ func (s errService) Stats(context.Context, api.StatsRequest) (api.StatsResult, e
 	return api.StatsResult{}, s.err
 }
 
-// TestRouterPassesThroughVerdicts: taxonomy errors and context endings
-// cross the router untouched — only transport failures are rewritten.
+// TestRouterPassesThroughVerdicts: taxonomy errors and the caller's own
+// context endings cross the router untouched — only transport failures
+// are rewritten. A context error the caller did not cause (the peer's
+// client gave up on its own deadline) is a transport failure.
 func TestRouterPassesThroughVerdicts(t *testing.T) {
 	rt := mustRouter(t, []router.Backend{
 		{Name: "verdict", Service: errService{err: api.Errf(api.ErrInfeasible, "no slack")}},
@@ -434,9 +439,129 @@ func TestRouterPassesThroughVerdicts(t *testing.T) {
 	if !errors.Is(err, api.ErrInfeasible) || errors.Is(err, api.ErrUnavailable) {
 		t.Errorf("taxonomy error rewritten: %v", err)
 	}
-	_, err = rt.Submit(bg, api.SubmitRequest{Device: 1, At: 0, App: "x", Deadline: 1})
+	gone, cancel := context.WithCancel(bg)
+	cancel()
+	_, err = rt.Submit(gone, api.SubmitRequest{Device: 1, At: 0, App: "x", Deadline: 1})
 	if !errors.Is(err, context.Canceled) || errors.Is(err, api.ErrUnavailable) {
-		t.Errorf("context ending rewritten: %v", err)
+		t.Errorf("caller's context ending rewritten: %v", err)
+	}
+	_, err = rt.Submit(bg, api.SubmitRequest{Device: 1, At: 0, App: "x", Deadline: 1})
+	if !errors.Is(err, api.ErrUnavailable) {
+		t.Errorf("peer's own context error with a live caller: %v, want ErrUnavailable", err)
+	}
+}
+
+// hungListener accepts connections and never answers on them: a peer
+// that hangs rather than dies.
+func hungListener(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	})
+	return "http://" + ln.Addr().String()
+}
+
+// TestRouterPeerTimeout: a peer that accepts the connection and never
+// answers costs a routed call its peer client's deadline, and then
+// surfaces as ErrUnavailable — HTTP 502 one hop further out — instead
+// of hanging the call, or escaping as a bare context error the caller
+// never caused. The same deadline never cuts a healthy peer's watch
+// stream.
+func TestRouterPeerTimeout(t *testing.T) {
+	const deadline = 200 * time.Millisecond
+	hung := httpapi.NewClient(hungListener(t), "", httpapi.NewPeerHTTPClient(deadline))
+	rt := mustRouter(t, []router.Backend{{Name: "hung-node", Service: hung}}, placement.Modulo(1))
+
+	start := time.Now()
+	_, err := rt.Submit(bg, api.SubmitRequest{Device: 0, At: 0, App: "lambda1", Deadline: 9})
+	if !errors.Is(err, api.ErrUnavailable) || !strings.Contains(err.Error(), "hung-node") {
+		t.Errorf("submit to hung peer: %v, want ErrUnavailable naming the peer", err)
+	}
+	if took := time.Since(start); took > 10*deadline {
+		t.Errorf("submit to hung peer took %v, deadline %v", took, deadline)
+	}
+	if _, err := rt.Stats(bg, api.StatsRequest{}); !errors.Is(err, api.ErrUnavailable) {
+		t.Errorf("fleet stats with hung peer: %v, want ErrUnavailable", err)
+	}
+
+	s, err := httpapi.NewServer(rt, httpapi.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge := httptest.NewServer(s)
+	t.Cleanup(edge.Close)
+	resp, err := http.Post(edge.URL+"/v1/cancel", "application/json", strings.NewReader(`{"device":0,"job_id":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Errorf("routed cancel to hung peer: HTTP %d, want 502", resp.StatusCode)
+	}
+
+	f := newFleet(t, 1, fleet.Options{})
+	t.Cleanup(func() { _ = f.Close() })
+	ns, err := httpapi.NewServer(f.Service(), httpapi.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := httptest.NewServer(ns)
+	t.Cleanup(node.Close)
+	live := mustRouter(t, []router.Backend{{Name: "live-node",
+		Service: httpapi.NewClient(node.URL, "", httpapi.NewPeerHTTPClient(deadline))}}, placement.Modulo(1))
+	ctx, cancel := context.WithCancel(bg)
+	defer cancel()
+	ch, err := live.Watch(ctx, api.WatchRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(3 * deadline)
+	if _, err := live.Submit(bg, api.SubmitRequest{Device: 0, At: 0, App: "lambda1", Deadline: 9}); err != nil {
+		t.Fatal(err)
+	}
+	if ev, ok := <-ch; !ok || ev.Type != api.EventJobAdmitted {
+		t.Errorf("watch past the peer deadline: %+v (open %v), want the admission", ev, ok)
+	}
+}
+
+// TestRouterCallerCancelPassesThrough: against the same hung peer, the
+// caller's own cancellation or deadline ends the call first and comes
+// back as itself, not as the peer's fault.
+func TestRouterCallerCancelPassesThrough(t *testing.T) {
+	hung := httpapi.NewClient(hungListener(t), "", &http.Client{Timeout: time.Minute})
+	rt := mustRouter(t, []router.Backend{{Name: "hung-node", Service: hung}}, placement.Modulo(1))
+
+	ctx, cancel := context.WithCancel(bg)
+	time.AfterFunc(50*time.Millisecond, cancel)
+	if _, err := rt.Submit(ctx, api.SubmitRequest{Device: 0, At: 0, App: "lambda1", Deadline: 9}); !errors.Is(err, context.Canceled) || errors.Is(err, api.ErrUnavailable) {
+		t.Errorf("cancelled submit: %v, want context.Canceled", err)
+	}
+	ctx, cancel = context.WithTimeout(bg, 50*time.Millisecond)
+	defer cancel()
+	if _, err := rt.Advance(ctx, api.AdvanceRequest{Device: 0, To: 1}); !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, api.ErrUnavailable) {
+		t.Errorf("advance past the caller's deadline: %v, want context.DeadlineExceeded", err)
 	}
 }
 

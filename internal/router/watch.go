@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"sync"
+	"time"
 
 	"adaptrm/internal/api"
 )
@@ -37,11 +38,9 @@ func (r *Router) Watch(ctx context.Context, req api.WatchRequest) (<-chan api.Ev
 		if !ok {
 			return nil, errNotStreaming(b.Name)
 		}
-		stop := r.metrics.begin(p, opWatch)
+		start := time.Now()
 		ch, err := ws.Watch(ctx, req)
-		err = r.peerError(p, err)
-		stop(err)
-		return ch, err
+		return ch, r.finish(ctx, p, opWatch, start, err)
 	}
 
 	// Fleet-wide: open every backend stream first, so a refused
@@ -54,11 +53,9 @@ func (r *Router) Watch(ctx context.Context, req api.WatchRequest) (<-chan api.Ev
 			cancel()
 			return nil, errNotStreaming(b.Name)
 		}
-		stop := r.metrics.begin(i, opWatch)
+		start := time.Now()
 		ch, err := ws.Watch(ctx, req)
-		err = r.peerError(i, err)
-		stop(err)
-		if err != nil {
+		if err = r.finish(ctx, i, opWatch, start, err); err != nil {
 			cancel()
 			return nil, err
 		}

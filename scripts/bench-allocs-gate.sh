@@ -21,7 +21,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PATTERN=${ALLOC_BENCH_PATTERN:-'Fig4SearchTimeMDF|AblationPackEDF|WatchFanout|MetricsRecord|WALAppend|SharedTierLookup|ControlTick'}
+PATTERN=${ALLOC_BENCH_PATTERN:-'Fig4SearchTimeMDF|AblationPackEDF|WatchFanout|MetricsRecord|WALAppend|SharedTierLookup|ControlTick|WireCodec'}
 TIME=${ALLOC_BENCH_TIME:-100x}
 BASELINE=benchmarks/allocs-baseline.txt
 
@@ -34,10 +34,11 @@ fi
 # package (watch fan-out publish path), the metrics package (the HTTP
 # instrumentation's per-request recording path), the durable package
 # (the WAL frame-encode + segment-write append path), the schedcache
-# package (the shared-tier probe on the admission hot path) and the
+# package (the shared-tier probe on the admission hot path), the
 # control package (the degradation controller's per-tick decision and
-# per-pickup Limits read).
-out=$(go test -run '^$' -bench "$PATTERN" -benchtime "$TIME" -benchmem -timeout 30m . ./internal/fleet ./internal/metrics ./internal/durable ./internal/schedcache ./internal/control)
+# per-pickup Limits read) and the httpapi package (the wire codec of the
+# hot verbs, run on every HTTP hop).
+out=$(go test -run '^$' -bench "$PATTERN" -benchtime "$TIME" -benchmem -timeout 30m . ./internal/fleet ./internal/metrics ./internal/durable ./internal/schedcache ./internal/control ./internal/httpapi)
 printf '%s\n' "$out"
 
 printf '%s\n' "$out" | awk -v baseline="$BASELINE" '
