@@ -117,16 +117,16 @@ type (
 	// ControllerStatus is an observability snapshot of the controller.
 	ControllerStatus = control.Status
 	// ControlMode is the degradation tier of the serving stack.
-	ControlMode = control.Mode
+	ControlMode = api.Mode
 )
 
 // The degradation tiers a Controller walks through, least to most
 // degraded: full service, heuristic-only admission (refinement off),
 // and early load shedding with ErrOverloaded.
 const (
-	ControlModeNormal        = control.ModeNormal
-	ControlModeHeuristicOnly = control.ModeHeuristicOnly
-	ControlModeShedding      = control.ModeShedding
+	ControlModeNormal        = api.ModeNormal
+	ControlModeHeuristicOnly = api.ModeHeuristicOnly
+	ControlModeShedding      = api.ModeShedding
 )
 
 // NewController builds a closed-loop degradation controller to hand a

@@ -401,70 +401,6 @@ func BenchmarkOnlineManagerTrace(b *testing.B) {
 	}
 }
 
-// Fleet throughput: the concurrent multi-device service replaying a
-// multi-tenant trace through 1, 4, and 8 shards, with and without the
-// schedule cache. Each iteration replays the trace three times with
-// shifted virtual clocks, emulating a long-running server whose workload
-// shapes recur (passes 2–3 run against warm caches). Reported metrics
-// are end-to-end requests/sec (enqueue through drain) and the
-// schedule-cache hit rate.
-func benchFleet(b *testing.B, shards int, cache bool) {
-	fixtures(b)
-	const (
-		devices = 8
-		horizon = 600.0
-		passes  = 3
-	)
-	trace, err := workload.FleetTrace(fixLib, workload.FleetTraceParams{
-		Devices: devices, Rate: 0.05, RateSpread: 0.5, Horizon: horizon, Seed: 17,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var last fleet.Stats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		devs := make([]fleet.DeviceConfig, devices)
-		for d := range devs {
-			devs[d] = fleet.DeviceConfig{Platform: fixPlat, Library: fixLib, Scheduler: core.New()}
-		}
-		f, err := fleet.New(devs, fleet.Options{Shards: shards, Cache: cache})
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Replay keeps the fire-and-forget enqueue path: shard workers
-		// pipeline behind the submitter, which is the throughput being
-		// measured (the synchronous Service path would serialise them).
-		for p := 0; p < passes; p++ {
-			shift := float64(p) * horizon
-			shifted := make([]workload.FleetRequest, len(trace))
-			for j, r := range trace {
-				r.At += shift
-				r.Deadline += shift
-				shifted[j] = r
-			}
-			if err := f.Replay(shifted); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := f.Close(); err != nil {
-			b.Fatal(err)
-		}
-		last = f.Stats()
-	}
-	reqs := float64(passes*len(trace)) * float64(b.N)
-	b.ReportMetric(reqs/b.Elapsed().Seconds(), "req/s")
-	b.ReportMetric(100*last.CacheHitRate(), "%cache-hit")
-}
-
-func BenchmarkFleetThroughput1Shard(b *testing.B)  { benchFleet(b, 1, true) }
-func BenchmarkFleetThroughput4Shards(b *testing.B) { benchFleet(b, 4, true) }
-func BenchmarkFleetThroughput8Shards(b *testing.B) { benchFleet(b, 8, true) }
-
-// The uncached baseline isolates the schedule cache's contribution to
-// fleet throughput at a fixed shard count.
-func BenchmarkFleetThroughput4ShardsNoCache(b *testing.B) { benchFleet(b, 4, false) }
-
 // Batched admission under bursty traffic: the same coincident-arrival
 // fleet trace (every Poisson event brings a burst of 4 same-device
 // requests) replayed with and without a batch window. Replay's

@@ -197,10 +197,11 @@
 //     Batch included) that sends every device-addressed call to the
 //     ring owner. Per-device request order is preserved (a device
 //     always resolves to the same backend); fleet-wide stats fan out
-//     concurrently and merge deterministically (counters summed —
-//     exact, since only the owner's counters are nonzero per device —
-//     device count maxed); fleet-wide watches merge one stream per
-//     backend, preserving per-device sequence order; single-device
+//     concurrently and merge deterministically (api.MergeStats:
+//     counters summed — exact, since only the owner's counters are
+//     nonzero per device — device count and queue high-water mark
+//     maxed, controller mode worst-of); fleet-wide watches merge one
+//     stream per backend, preserving per-device sequence order; single-device
 //     watches, including FromSeq resumes, delegate wholesale to the
 //     owner, whose retention ring holds the history. Backend taxonomy
 //     errors and the caller's own context cancellations pass through
@@ -252,6 +253,16 @@
 //   - GET /debug/pprof/ serves the runtime profiles, but only with
 //     -pprof-token set and presented (Authorization bearer or
 //     ?token=); profiling stays unreachable by default.
+//
+// Every integer statistic is declared once, as a row of api.Counters:
+// its Prometheus name and help, counter or gauge, merge rule (sum or
+// max), whether it is deterministic, and whether /metrics splits it
+// per device. Deterministic(), the routed merge (api.MergeStats) and
+// the /metrics service families all derive from that table, so adding
+// a stats counter means adding one StatsResult field and one
+// api.Counters row (plus, for a fleet counter, the fleet.Stats field
+// and its copy in the fleet's service view); a test fails for a field
+// without a row.
 //
 // cmd/rmsoak is the matching load harness: an open-loop soak of a live
 // daemon driving the same seeded traces the replay mode uses, with

@@ -18,10 +18,7 @@
 // exactly as it does in process.
 package api
 
-import (
-	"context"
-	"time"
-)
+import "context"
 
 // Completion reports one finished job, observed while a device's
 // virtual clock advanced past its finish time.
@@ -106,121 +103,6 @@ type CancelResult struct {
 type StatsRequest struct {
 	// Device optionally selects one device.
 	Device *int `json:"device,omitempty"`
-}
-
-// StatsResult aggregates service activity. All fields except
-// SchedulingTime and MaxQueueDepth are deterministic for a given
-// per-device request order, which is what the cross-implementation
-// equivalence tests compare.
-type StatsResult struct {
-	// Devices is the number of devices covered, Shards the worker count
-	// (0 when a single device is addressed).
-	Devices int `json:"devices"`
-	Shards  int `json:"shards,omitempty"`
-	// Submitted counts all requests, Accepted and Rejected its split.
-	Submitted int `json:"submitted"`
-	Accepted  int `json:"accepted"`
-	Rejected  int `json:"rejected"`
-	// Completed counts finished jobs, DeadlineMisses the violations.
-	Completed      int `json:"completed"`
-	DeadlineMisses int `json:"deadline_misses"`
-	// Cancelled counts jobs aborted while active. With the others it
-	// closes the lifecycle ledger: accepted = completed + cancelled +
-	// currently active.
-	Cancelled int `json:"cancelled"`
-	// Energy is the total energy of all executed schedule fractions (J).
-	Energy float64 `json:"energy"`
-	// Activations counts scheduler invocations, SchedulingTime their
-	// cumulative wall time (serialised as nanoseconds).
-	Activations    int           `json:"activations"`
-	SchedulingTime time.Duration `json:"scheduling_time_ns"`
-	// Cache* sum the schedule-cache counters across the fleet (zero
-	// when caching is off). Per-device results omit them: device stats
-	// come from the runtime manager, which does not see the cache.
-	CacheHits      int `json:"cache_hits,omitempty"`
-	CacheMisses    int `json:"cache_misses,omitempty"`
-	CacheStale     int `json:"cache_stale,omitempty"`
-	CacheEvictions int `json:"cache_evictions,omitempty"`
-	CacheRepacks   int `json:"cache_repacks,omitempty"`
-	// CacheSharedHits counts lookups served from the fleet-wide shared
-	// cache tier after missing the device-local first level, and
-	// CachePromotions the entries device caches promoted into that tier
-	// (zero without a shared tier; fleet-wide results only).
-	CacheSharedHits int `json:"cache_shared_hits,omitempty"`
-	CachePromotions int `json:"cache_promotions,omitempty"`
-	// ScheduleSwaps counts accepted anytime-refinement schedule swaps:
-	// a background exact search beat the admitted schedule and the
-	// replacement passed the manager's validation. Deterministic only
-	// when refinement is driven deterministically (the test suites);
-	// with background refinement workers it depends on interleaving.
-	ScheduleSwaps int `json:"schedule_swaps,omitempty"`
-	// Refine* mirror the anytime refinement pool's counters (all
-	// operational, fleet-wide results only): exact searches run, the
-	// subset that beat their incumbent, tasks skipped because the
-	// shared tier already held an exact result, and offers dropped on
-	// a full refinement queue.
-	RefineSearches int `json:"refine_searches,omitempty"`
-	RefineImproved int `json:"refine_improved,omitempty"`
-	RefineSkipped  int `json:"refine_skipped,omitempty"`
-	RefineDropped  int `json:"refine_dropped,omitempty"`
-	// MaxQueueDepth is the mailbox high-water mark (operational, not
-	// deterministic).
-	MaxQueueDepth int `json:"max_queue_depth,omitempty"`
-	// CoalescedBatches counts multi-request batched activations and
-	// CoalescedRequests the submits that rode in them. Explicit
-	// SubmitBatch calls make them deterministic; worker-side
-	// BatchWindow coalescing makes them opportunistic, like
-	// Activations (fleet-wide results only).
-	CoalescedBatches  int `json:"coalesced_batches,omitempty"`
-	CoalescedRequests int `json:"coalesced_requests,omitempty"`
-	// WatchSubscribers gauges the open watch subscriptions and
-	// WatchDropped counts events discarded from slow subscribers'
-	// buffers (both operational; fleet-wide results only).
-	WatchSubscribers int `json:"watch_subscribers,omitempty"`
-	WatchDropped     int `json:"watch_dropped,omitempty"`
-	// QuotaBudgetRefusals and QuotaRateRefusals count requests the
-	// transport refused for an exhausted request budget or an empty
-	// token bucket. They are transport-level: the in-process fleet has
-	// no quotas and always reports zero; the HTTP daemon fills them on
-	// fleet-wide results, summed over its tenants.
-	QuotaBudgetRefusals int `json:"quota_budget_refusals,omitempty"`
-	QuotaRateRefusals   int `json:"quota_rate_refusals,omitempty"`
-	// ControlMode names the degradation controller's current mode
-	// ("normal", "heuristic_only", "shedding"; empty without a
-	// controller — a routed result reports the worst mode across its
-	// backends). Shed counts admission requests rejected early with
-	// ErrOverloaded before a scheduler activation was spent, and
-	// ControlTicks / ControlModeChanges the controller's decision
-	// counters. All operational (fleet-wide results only).
-	ControlMode        string `json:"control_mode,omitempty"`
-	Shed               int    `json:"shed,omitempty"`
-	ControlTicks       int    `json:"control_ticks,omitempty"`
-	ControlModeChanges int    `json:"control_mode_changes,omitempty"`
-}
-
-// Deterministic strips the wall-clock, operational and transport-level
-// fields, leaving only the values that must be identical across
-// transports, shard counts and goroutine interleavings for the same
-// per-device request order. The coalescing counters stay: they are
-// deterministic for explicit batches, which is what the equivalence
-// suites drive (no suite enables the opportunistic BatchWindow).
-func (s StatsResult) Deterministic() StatsResult {
-	s.Shards = 0
-	s.SchedulingTime = 0
-	s.MaxQueueDepth = 0
-	s.WatchSubscribers = 0
-	s.WatchDropped = 0
-	s.QuotaBudgetRefusals = 0
-	s.QuotaRateRefusals = 0
-	s.RefineSearches = 0
-	s.RefineImproved = 0
-	s.RefineSkipped = 0
-	s.RefineDropped = 0
-	s.ControlMode = ""
-	s.Shed = 0
-	s.ControlTicks = 0
-	s.ControlModeChanges = 0
-	return s
 }
 
 // Service is the transport-agnostic runtime-management interface. Every

@@ -3,6 +3,8 @@ package control
 import (
 	"testing"
 	"time"
+
+	"adaptrm/internal/api"
 )
 
 // BenchmarkControlTick measures one steady-state control decision:
@@ -13,7 +15,7 @@ import (
 func BenchmarkControlTick(b *testing.B) {
 	src := &fakeSource{depth: 4, capacity: 8}
 	c := New(Config{BaseWindow: 0.1, MaxWindow: 0.8, HighLatency: 50 * time.Millisecond})
-	c.Attach(src, func(from, to Mode) {})
+	c.Attach(src, func(from, to api.Mode) {})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -21,61 +21,12 @@
 package control
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 	"time"
+
+	"adaptrm/internal/api"
 )
-
-// Mode is the degradation tier of the serving stack. Higher is more
-// degraded; the controller moves one tier at a time in both
-// directions.
-type Mode int32
-
-const (
-	// ModeNormal: full service — configured scheduler, refinement
-	// offers, base coalescing window.
-	ModeNormal Mode = iota
-	// ModeHeuristicOnly: refinement offers are skipped and admission
-	// falls back to the pure heuristic (MDF) scheduler where a fallback
-	// is configured — exact-quality work is deferred until the queues
-	// drain.
-	ModeHeuristicOnly
-	// ModeShedding: admission requests are rejected early with
-	// api.ErrOverloaded before any scheduler activation is spent;
-	// advances and cancels still run so admitted work keeps draining.
-	ModeShedding
-)
-
-// String returns the wire name of the mode — the payload of
-// EventModeChanged events and the value of the /v1/stats mode field.
-func (m Mode) String() string {
-	switch m {
-	case ModeNormal:
-		return "normal"
-	case ModeHeuristicOnly:
-		return "heuristic_only"
-	case ModeShedding:
-		return "shedding"
-	default:
-		return fmt.Sprintf("mode(%d)", int32(m))
-	}
-}
-
-// ParseMode inverts Mode.String. Replay uses it to restore logged mode
-// transitions verbatim.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "normal":
-		return ModeNormal, nil
-	case "heuristic_only":
-		return ModeHeuristicOnly, nil
-	case "shedding":
-		return ModeShedding, nil
-	default:
-		return ModeNormal, fmt.Errorf("control: unknown mode %q", s)
-	}
-}
 
 // Limits is the per-activation snapshot of every actuator the
 // controller owns. Layers read one snapshot per operation pickup — a
@@ -83,7 +34,7 @@ func ParseMode(s string) (Mode, error) {
 // even while Tick retunes the controller concurrently.
 type Limits struct {
 	// Mode is the degradation tier.
-	Mode Mode
+	Mode api.Mode
 	// BatchWindow is the coalescing window in seconds of virtual time
 	// (0 disables coalescing), tuned between the configured base and
 	// max under queue pressure.
@@ -178,11 +129,11 @@ func (c *Config) normalize() {
 type Status struct {
 	// Mode is the current degradation tier, BatchWindow the current
 	// coalescing window.
-	Mode        Mode
+	Mode        api.Mode
 	BatchWindow float64
 	// Ticks counts Tick invocations, ModeChanges the tier transitions
 	// (both directions), Stretches/Shrinks the window decisions, and
-	// Sheds the admission requests rejected early in ModeShedding.
+	// Sheds the admission requests rejected early in api.ModeShedding.
 	Ticks, ModeChanges, Stretches, Shrinks, Sheds int64
 	// LastTick is the virtual time of the most recent Tick.
 	LastTick float64
@@ -197,7 +148,7 @@ type Controller struct {
 
 	// src and onMode are bound once by Attach before any Tick.
 	src    Source
-	onMode func(from, to Mode)
+	onMode func(from, to api.Mode)
 
 	mode     atomic.Int32
 	window   atomic.Uint64 // math.Float64bits of the current window
@@ -231,7 +182,7 @@ func New(cfg Config) *Controller {
 // transition hook (invoked synchronously from Tick, in transition
 // order). Must happen before the first Tick; Ticks before Attach are
 // no-ops.
-func (c *Controller) Attach(src Source, onMode func(from, to Mode)) {
+func (c *Controller) Attach(src Source, onMode func(from, to api.Mode)) {
 	c.src = src
 	c.onMode = onMode
 }
@@ -239,16 +190,16 @@ func (c *Controller) Attach(src Source, onMode func(from, to Mode)) {
 // Limits returns the current actuator snapshot. Allocation-free — it
 // is read on every operation pickup.
 func (c *Controller) Limits() Limits {
-	m := Mode(c.mode.Load())
+	m := api.Mode(c.mode.Load())
 	return Limits{
 		Mode:        m,
 		BatchWindow: math.Float64frombits(c.window.Load()),
-		Refine:      m == ModeNormal,
+		Refine:      m == api.ModeNormal,
 	}
 }
 
 // Mode returns the current degradation tier.
-func (c *Controller) Mode() Mode { return Mode(c.mode.Load()) }
+func (c *Controller) Mode() api.Mode { return api.Mode(c.mode.Load()) }
 
 // ObserveLatency records one admission's service latency into the
 // current tick interval. Allocation-free; safe from any goroutine.
@@ -258,13 +209,13 @@ func (c *Controller) ObserveLatency(d time.Duration) {
 }
 
 // NoteShed counts one admission request rejected early under
-// ModeShedding.
+// api.ModeShedding.
 func (c *Controller) NoteShed() { c.sheds.Add(1) }
 
 // Status snapshots the controller's observability counters.
 func (c *Controller) Status() Status {
 	return Status{
-		Mode:        Mode(c.mode.Load()),
+		Mode:        api.Mode(c.mode.Load()),
 		BatchWindow: math.Float64frombits(c.window.Load()),
 		Ticks:       c.ticks.Load(),
 		ModeChanges: c.modeChanges.Load(),
@@ -361,18 +312,18 @@ func (c *Controller) shrinkWindow() {
 }
 
 func (c *Controller) escalate() {
-	if m := Mode(c.mode.Load()); m < ModeShedding {
+	if m := api.Mode(c.mode.Load()); m < api.ModeShedding {
 		c.setMode(m, m+1)
 	}
 }
 
 func (c *Controller) deescalate() {
-	if m := Mode(c.mode.Load()); m > ModeNormal {
+	if m := api.Mode(c.mode.Load()); m > api.ModeNormal {
 		c.setMode(m, m-1)
 	}
 }
 
-func (c *Controller) setMode(from, to Mode) {
+func (c *Controller) setMode(from, to api.Mode) {
 	c.mode.Store(int32(to))
 	c.modeChanges.Add(1)
 	if c.onMode != nil {

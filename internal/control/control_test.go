@@ -3,6 +3,8 @@ package control
 import (
 	"testing"
 	"time"
+
+	"adaptrm/internal/api"
 )
 
 // fakeSource is a scripted Source: each Tick observes the current
@@ -12,24 +14,6 @@ type fakeSource struct {
 }
 
 func (s *fakeSource) QueuePressure() (int, int) { return s.depth, s.capacity }
-
-func TestModeStringParseRoundTrip(t *testing.T) {
-	for _, m := range []Mode{ModeNormal, ModeHeuristicOnly, ModeShedding} {
-		got, err := ParseMode(m.String())
-		if err != nil {
-			t.Fatalf("ParseMode(%q): %v", m.String(), err)
-		}
-		if got != m {
-			t.Fatalf("ParseMode(%q) = %v, want %v", m.String(), got, m)
-		}
-	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Fatal("ParseMode(bogus) accepted")
-	}
-	if s := Mode(42).String(); s != "mode(42)" {
-		t.Fatalf("Mode(42).String() = %q", s)
-	}
-}
 
 func TestConfigNormalizeDefaults(t *testing.T) {
 	var c Config
@@ -64,7 +48,7 @@ func TestConfigNormalizeDefaults(t *testing.T) {
 }
 
 func TestStaticProviderIsFixed(t *testing.T) {
-	l := Limits{Mode: ModeNormal, BatchWindow: 0.25, Refine: true}
+	l := Limits{Mode: api.ModeNormal, BatchWindow: 0.25, Refine: true}
 	p := Static(l)
 	for i := 0; i < 3; i++ {
 		if got := p.Limits(); got != l {
@@ -78,7 +62,7 @@ func TestTickWithoutSourceIsNoOp(t *testing.T) {
 	c.Tick(1)
 	c.Tick(2)
 	st := c.Status()
-	if st.Ticks != 0 || st.Mode != ModeNormal || st.LastTick != 0 {
+	if st.Ticks != 0 || st.Mode != api.ModeNormal || st.LastTick != 0 {
 		t.Fatalf("unattached controller ticked: %+v", st)
 	}
 }
@@ -95,34 +79,34 @@ func tickN(c *Controller, from float64, n int) float64 {
 func TestTickEscalatesAndRecovers(t *testing.T) {
 	src := &fakeSource{depth: 0, capacity: 8}
 	c := New(Config{BaseWindow: 0.1, MaxWindow: 0.8, EnterTicks: 2, ExitTicks: 3})
-	var trans [][2]Mode
-	c.Attach(src, func(from, to Mode) { trans = append(trans, [2]Mode{from, to}) })
+	var trans [][2]api.Mode
+	c.Attach(src, func(from, to api.Mode) { trans = append(trans, [2]api.Mode{from, to}) })
 
 	// Sustained pressure: 6 at 0.75*8 is the high threshold.
 	src.depth = 6
 	now := tickN(c, 1, 4)
-	if got := c.Mode(); got != ModeShedding {
+	if got := c.Mode(); got != api.ModeShedding {
 		t.Fatalf("after 4 pressured ticks mode = %v, want shedding", got)
 	}
-	if l := c.Limits(); l.Mode != ModeShedding || l.Refine {
+	if l := c.Limits(); l.Mode != api.ModeShedding || l.Refine {
 		t.Fatalf("Limits under shedding = %+v", l)
 	}
 
 	// Sustained drain: 2 at 0.25*8 is the low threshold.
 	src.depth = 2
 	now = tickN(c, now, 6)
-	if got := c.Mode(); got != ModeNormal {
+	if got := c.Mode(); got != api.ModeNormal {
 		t.Fatalf("after 6 drained ticks mode = %v, want normal", got)
 	}
 	if l := c.Limits(); !l.Refine {
 		t.Fatal("refinement still off after recovery")
 	}
 
-	want := [][2]Mode{
-		{ModeNormal, ModeHeuristicOnly},
-		{ModeHeuristicOnly, ModeShedding},
-		{ModeShedding, ModeHeuristicOnly},
-		{ModeHeuristicOnly, ModeNormal},
+	want := [][2]api.Mode{
+		{api.ModeNormal, api.ModeHeuristicOnly},
+		{api.ModeHeuristicOnly, api.ModeShedding},
+		{api.ModeShedding, api.ModeHeuristicOnly},
+		{api.ModeHeuristicOnly, api.ModeNormal},
 	}
 	if len(trans) != len(want) {
 		t.Fatalf("transitions = %v, want %v", trans, want)
@@ -154,12 +138,12 @@ func TestMidBandResetsStreaks(t *testing.T) {
 	c.Tick(2)
 	src.depth = 6
 	c.Tick(3)
-	if got := c.Mode(); got != ModeNormal {
+	if got := c.Mode(); got != api.ModeNormal {
 		t.Fatalf("interrupted streak escalated to %v", got)
 	}
 	// Two consecutive pressured ticks do escalate.
 	c.Tick(4)
-	if got := c.Mode(); got != ModeHeuristicOnly {
+	if got := c.Mode(); got != api.ModeHeuristicOnly {
 		t.Fatalf("mode = %v, want heuristic_only", got)
 	}
 }
@@ -228,14 +212,14 @@ func TestLatencySignalEscalates(t *testing.T) {
 	c.Tick(1)
 	c.ObserveLatency(30 * time.Millisecond)
 	c.Tick(2)
-	if got := c.Mode(); got != ModeHeuristicOnly {
+	if got := c.Mode(); got != api.ModeHeuristicOnly {
 		t.Fatalf("latency pressure did not escalate: %v", got)
 	}
 
 	// The accumulator was swapped out each tick: with no fresh samples
 	// the drained queues win and the controller recovers.
 	tickN(c, 3, 4)
-	if got := c.Mode(); got != ModeNormal {
+	if got := c.Mode(); got != api.ModeNormal {
 		t.Fatalf("mode = %v after drain, want normal", got)
 	}
 }
@@ -246,7 +230,7 @@ func TestLatencyBelowThresholdIsNotPressure(t *testing.T) {
 	c.Attach(src, nil)
 	c.ObserveLatency(2 * time.Millisecond)
 	c.Tick(1)
-	if got := c.Mode(); got != ModeNormal {
+	if got := c.Mode(); got != api.ModeNormal {
 		t.Fatalf("sub-threshold latency escalated to %v", got)
 	}
 }

@@ -83,7 +83,7 @@ func TestControllerSteadyLightLoadEquivalence(t *testing.T) {
 	ctl := control.New(control.Config{})
 	ctlStates, ctlStats, ctlEvs := run(ctl)
 
-	if st := ctl.Status(); st.Mode != control.ModeNormal || st.ModeChanges != 0 || st.Ticks == 0 {
+	if st := ctl.Status(); st.Mode != api.ModeNormal || st.ModeChanges != 0 || st.Ticks == 0 {
 		t.Fatalf("light-load controller status = %+v, want ticking in normal mode", st)
 	}
 	if !reflect.DeepEqual(ctlStates, baseStates) {
@@ -157,7 +157,7 @@ func TestControllerBurstShedsAndRecovers(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
-	if got := ctl.Mode(); got != control.ModeShedding {
+	if got := ctl.Mode(); got != api.ModeShedding {
 		t.Fatalf("mode after pressured ticks = %v, want shedding", got)
 	}
 
@@ -201,7 +201,7 @@ func TestControllerBurstShedsAndRecovers(t *testing.T) {
 	// Two drained ticks walk back to normal; admission works again.
 	ctl.Tick(3)
 	ctl.Tick(4)
-	if got := ctl.Mode(); got != control.ModeNormal {
+	if got := ctl.Mode(); got != api.ModeNormal {
 		t.Fatalf("mode after drained ticks = %v, want normal", got)
 	}
 	if _, err := svc.Submit(ctxBG, api.SubmitRequest{Device: 0, At: 6, App: "lambda1", Deadline: 60}); err != nil {
@@ -253,11 +253,11 @@ func TestRecoverRestoresMode(t *testing.T) {
 	if _, err := svc.Submit(ctxBG, api.SubmitRequest{Device: 0, At: 0, App: "lambda1", Deadline: 9}); err != nil {
 		t.Fatal(err)
 	}
-	live.applyMode(control.ModeNormal, control.ModeHeuristicOnly)
+	live.applyMode(api.ModeNormal, api.ModeHeuristicOnly)
 	if _, err := svc.Submit(ctxBG, api.SubmitRequest{Device: 0, At: 1, App: "lambda2", Deadline: 8}); err != nil {
 		t.Fatal(err)
 	}
-	live.applyMode(control.ModeHeuristicOnly, control.ModeShedding)
+	live.applyMode(api.ModeHeuristicOnly, api.ModeShedding)
 
 	// A snapshot taken now carries the degraded mode.
 	snap, err := live.DeviceSnapshot(0)

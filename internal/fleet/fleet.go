@@ -231,8 +231,8 @@ type Stats struct {
 	// was spent, and ControlTicks / ControlModeChanges its decision
 	// counters. All operational: the controller is driven by wall-clock
 	// ticks against live queue depths.
-	ControlMode                    string
-	Shed                           int
+	ControlMode                      string
+	Shed                             int
 	ControlTicks, ControlModeChanges int
 }
 
@@ -336,9 +336,7 @@ type shard struct {
 
 // Internal sentinels distinguishing why an operation never landed, so
 // the Service layer can map them onto the api taxonomy. (Replay and the
-// snapshot accessors keep the historical messages; the deprecated
-// Submit/Advance wrappers route through Service and return its
-// api-wrapped errors.)
+// snapshot accessors keep the historical messages.)
 var (
 	errClosed     = errors.New("fleet: closed")
 	errOutOfRange = errors.New("out of range")
@@ -456,7 +454,7 @@ func build(devs []DeviceConfig, opt Options) (*Fleet, error) {
 		f.limits = opt.Control
 	} else {
 		f.limits = control.Static(control.Limits{
-			Mode:        control.ModeNormal,
+			Mode:        api.ModeNormal,
 			BatchWindow: opt.BatchWindow,
 			Refine:      opt.Refine,
 		})
@@ -791,36 +789,6 @@ func (f *Fleet) post(ctx context.Context, dev int, o op) error {
 	return f.shardOf(dev).enqueue(ctx, o)
 }
 
-// Submit submits a request for a device — at virtual time at, the named
-// application with the given absolute deadline — and waits for the
-// decision, discarding it. Requests for one device must be submitted in
-// non-decreasing virtual-time order (its clock never runs backwards);
-// requests for different devices are independent.
-//
-// Deprecated: thin wrapper over [Service.Submit], which additionally
-// returns the job id, the admission verdict and the completions.
-// Rejections (api.ErrInfeasible) are swallowed here for backward
-// compatibility; every other error is returned.
-func (f *Fleet) Submit(dev int, at float64, app string, deadline float64) error {
-	_, err := f.Service().Submit(context.Background(),
-		api.SubmitRequest{Device: dev, At: at, App: app, Deadline: deadline})
-	if errors.Is(err, api.ErrInfeasible) {
-		return nil
-	}
-	return err
-}
-
-// Advance moves a device's virtual clock to time to, accounting
-// progress and energy along its current schedule, and waits for it to
-// take effect.
-//
-// Deprecated: thin wrapper over [Service.Advance], which additionally
-// returns the completions the advance produced.
-func (f *Fleet) Advance(dev int, to float64) error {
-	_, err := f.Service().Advance(context.Background(), api.AdvanceRequest{Device: dev, To: to})
-	return err
-}
-
 // Cancel aborts an active job on a device, reclaiming its resources for
 // the remaining jobs (the device re-plans them immediately). It waits
 // for the cancellation to take effect; see [Service.Cancel] for the
@@ -832,7 +800,7 @@ func (f *Fleet) Cancel(dev, jobID int) error {
 
 // Replay submits a merged fleet trace (e.g. workload.FleetTrace output,
 // already sorted per device) and returns on the first addressing error.
-// Unlike Submit it stays fire-and-forget — requests are enqueued without
+// Unlike Service.Submit it stays fire-and-forget — requests are enqueued without
 // waiting for decisions, pipelining the shard workers — so per-request
 // manager errors surface at Close, not here.
 func (f *Fleet) Replay(trace []workload.FleetRequest) error {
@@ -968,7 +936,7 @@ func (f *Fleet) QueuePressure() (maxDepth, capacity int) {
 // Invoked synchronously from Controller.Tick on the ticking goroutine;
 // callers must stop ticking before Close (a closed fleet skips the
 // broadcast — its hub is ending the watch streams).
-func (f *Fleet) applyMode(_, to control.Mode) {
+func (f *Fleet) applyMode(_, to api.Mode) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	if f.closed {

@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
+	"adaptrm/internal/api"
 	"adaptrm/internal/core"
 	"adaptrm/internal/motiv"
 	"adaptrm/internal/workload"
@@ -45,10 +47,10 @@ func TestFleetValidation(t *testing.T) {
 		t.Error("nil scheduler accepted")
 	}
 	f := newTestFleet(t, 2, Options{})
-	if err := f.Submit(5, 0, "lambda1", 9); err == nil {
+	if _, err := f.Service().Submit(ctxBG, api.SubmitRequest{Device: 5, At: 0, App: "lambda1", Deadline: 9}); err == nil {
 		t.Error("out-of-range device accepted")
 	}
-	if err := f.Advance(-1, 3); err == nil {
+	if _, err := f.Service().Advance(ctxBG, api.AdvanceRequest{Device: -1, To: 3}); err == nil {
 		t.Error("negative device accepted")
 	}
 	if _, err := f.DeviceStats(7); err == nil {
@@ -57,7 +59,7 @@ func TestFleetValidation(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Submit(0, 0, "lambda1", 9); err == nil {
+	if _, err := f.Service().Submit(ctxBG, api.SubmitRequest{Device: 0, At: 0, App: "lambda1", Deadline: 9}); err == nil {
 		t.Error("submit after close accepted")
 	}
 	if err := f.Close(); err == nil {
@@ -72,10 +74,10 @@ func TestFleetMatchesSequentialManager(t *testing.T) {
 	const n = 5
 	f := newTestFleet(t, n, Options{Shards: 2, MailboxSize: 4})
 	for d := 0; d < n; d++ {
-		if err := f.Submit(d, 0, "lambda1", 9); err != nil {
+		if _, err := f.Service().Submit(ctxBG, api.SubmitRequest{Device: d, At: 0, App: "lambda1", Deadline: 9}); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.Submit(d, 1, "lambda2", 5); err != nil {
+		if _, err := f.Service().Submit(ctxBG, api.SubmitRequest{Device: d, At: 1, App: "lambda2", Deadline: 5}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,10 +111,10 @@ func TestFleetMatchesSequentialManager(t *testing.T) {
 
 func TestFleetAdvanceMovesClock(t *testing.T) {
 	f := newTestFleet(t, 1, Options{})
-	if err := f.Submit(0, 0, "lambda1", 9); err != nil {
+	if _, err := f.Service().Submit(ctxBG, api.SubmitRequest{Device: 0, At: 0, App: "lambda1", Deadline: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Advance(0, 3); err != nil {
+	if _, err := f.Service().Advance(ctxBG, api.AdvanceRequest{Device: 0, To: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -150,7 +152,7 @@ func runFleetTrace(t *testing.T, devices, goroutines int, opt Options, seed int6
 			defer wg.Done()
 			for d := g; d < devices; d += goroutines {
 				for _, r := range streams[d] {
-					if err := f.Submit(r.Device, r.At, r.App, r.Deadline); err != nil {
+					if _, err := f.Service().Submit(ctxBG, api.SubmitRequest{Device: r.Device, At: r.At, App: r.App, Deadline: r.Deadline}); err != nil && !errors.Is(err, api.ErrInfeasible) {
 						t.Error(err)
 						return
 					}
@@ -240,7 +242,7 @@ func runStreams(t *testing.T, streams [][]workload.FleetRequest, goroutines int,
 			defer wg.Done()
 			for d := g; d < devices; d += goroutines {
 				for _, r := range streams[d] {
-					if err := f.Submit(r.Device, r.At, r.App, r.Deadline); err != nil {
+					if _, err := f.Service().Submit(ctxBG, api.SubmitRequest{Device: r.Device, At: r.At, App: r.App, Deadline: r.Deadline}); err != nil && !errors.Is(err, api.ErrInfeasible) {
 						t.Error(err)
 						return
 					}
@@ -304,7 +306,7 @@ func TestFleetSubmitCloseRace(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for i := 0; i < 50; i++ {
-					if err := f.Submit(g, float64(i), "lambda1", float64(i)+9); err != nil {
+					if _, err := f.Service().Submit(ctxBG, api.SubmitRequest{Device: g, At: float64(i), App: "lambda1", Deadline: float64(i) + 9}); err != nil && !errors.Is(err, api.ErrInfeasible) {
 						return // fleet closed underneath us — expected
 					}
 				}

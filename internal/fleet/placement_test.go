@@ -3,6 +3,7 @@ package fleet
 import (
 	"testing"
 
+	"adaptrm/internal/api"
 	"adaptrm/internal/placement"
 )
 
@@ -32,10 +33,10 @@ func TestCustomPlacementRoutesShards(t *testing.T) {
 		const n = 6
 		f := newTestFleet(t, n, opt)
 		for d := 0; d < n; d++ {
-			if err := f.Submit(d, 0, "lambda1", 9); err != nil {
+			if _, err := f.Service().Submit(ctxBG, api.SubmitRequest{Device: d, At: 0, App: "lambda1", Deadline: 9}); err != nil {
 				t.Fatal(err)
 			}
-			if err := f.Submit(d, 1, "lambda2", 5); err != nil {
+			if _, err := f.Service().Submit(ctxBG, api.SubmitRequest{Device: d, At: 1, App: "lambda2", Deadline: 5}); err != nil {
 				t.Fatal(err)
 			}
 		}

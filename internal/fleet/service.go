@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"adaptrm/internal/api"
-	"adaptrm/internal/control"
 	"adaptrm/internal/rm"
 )
 
@@ -101,7 +100,7 @@ func (s *Service) shed(dev int) error {
 	if f.ctl == nil || dev < 0 || dev >= len(f.devices) {
 		return nil
 	}
-	if f.limits.Limits().Mode != control.ModeShedding {
+	if f.limits.Limits().Mode != api.ModeShedding {
 		return nil
 	}
 	f.ctl.NoteShed()
@@ -228,41 +227,47 @@ func (s *Service) Stats(ctx context.Context, req api.StatsRequest) (api.StatsRes
 			ScheduleSwaps:  ds.Swapped,
 		}, nil
 	}
-	fs := s.f.Stats()
+	return statsResult(s.f.Stats()), nil
+}
+
+// statsResult carries every fleet-wide counter onto the protocol
+// result; the quota refusals stay zero, since the in-process fleet has
+// no quotas.
+func statsResult(fs Stats) api.StatsResult {
 	return api.StatsResult{
-		Devices:           fs.Devices,
-		Shards:            fs.Shards,
-		Submitted:         fs.Submitted,
-		Accepted:          fs.Accepted,
-		Rejected:          fs.Rejected,
-		Completed:         fs.Completed,
-		DeadlineMisses:    fs.DeadlineMisses,
-		Cancelled:         fs.Cancelled,
-		Energy:            fs.Energy,
-		Activations:       fs.Activations,
-		SchedulingTime:    fs.SchedulingTime,
-		CacheHits:         fs.CacheHits,
-		CacheMisses:       fs.CacheMisses,
-		CacheStale:        fs.CacheStale,
-		CacheEvictions:    fs.CacheEvictions,
-		CacheRepacks:      fs.CacheRepacks,
-		CacheSharedHits:   fs.CacheSharedHits,
-		CachePromotions:   fs.CachePromotions,
-		ScheduleSwaps:     fs.Swaps,
-		RefineSearches:    fs.RefineSearches,
-		RefineImproved:    fs.RefineImproved,
-		RefineSkipped:     fs.RefineSkipped,
-		RefineDropped:     fs.RefineDropped,
-		MaxQueueDepth:     fs.MaxQueueDepth,
-		CoalescedBatches:  fs.CoalescedBatches,
-		CoalescedRequests: fs.CoalescedRequests,
+		Devices:            fs.Devices,
+		Shards:             fs.Shards,
+		Submitted:          fs.Submitted,
+		Accepted:           fs.Accepted,
+		Rejected:           fs.Rejected,
+		Completed:          fs.Completed,
+		DeadlineMisses:     fs.DeadlineMisses,
+		Cancelled:          fs.Cancelled,
+		Energy:             fs.Energy,
+		Activations:        fs.Activations,
+		SchedulingTime:     fs.SchedulingTime,
+		CacheHits:          fs.CacheHits,
+		CacheMisses:        fs.CacheMisses,
+		CacheStale:         fs.CacheStale,
+		CacheEvictions:     fs.CacheEvictions,
+		CacheRepacks:       fs.CacheRepacks,
+		CacheSharedHits:    fs.CacheSharedHits,
+		CachePromotions:    fs.CachePromotions,
+		ScheduleSwaps:      fs.Swaps,
+		RefineSearches:     fs.RefineSearches,
+		RefineImproved:     fs.RefineImproved,
+		RefineSkipped:      fs.RefineSkipped,
+		RefineDropped:      fs.RefineDropped,
+		MaxQueueDepth:      fs.MaxQueueDepth,
+		CoalescedBatches:   fs.CoalescedBatches,
+		CoalescedRequests:  fs.CoalescedRequests,
 		WatchSubscribers:   fs.WatchSubscribers,
 		WatchDropped:       fs.WatchDropped,
 		ControlMode:        fs.ControlMode,
 		Shed:               fs.Shed,
 		ControlTicks:       fs.ControlTicks,
 		ControlModeChanges: fs.ControlModeChanges,
-	}, nil
+	}
 }
 
 // QueueDepths exposes the per-shard mailbox depths on the service view;

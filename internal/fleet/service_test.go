@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -289,5 +290,41 @@ func TestServiceMatchesLegacyReplay(t *testing.T) {
 	}
 	if accepted != b.Accepted || rejected != b.Rejected {
 		t.Errorf("per-request decisions (%d/%d) disagree with stats %+v", accepted, rejected, b)
+	}
+}
+
+// TestStatsResultCarriesEveryField: the fleet-to-protocol copy carries
+// every Stats field, so a counter added to both structs cannot be lost
+// on the way out.
+func TestStatsResultCarriesEveryField(t *testing.T) {
+	renamed := map[string]string{"Swaps": "ScheduleSwaps"}
+	var fs Stats
+	fv := reflect.ValueOf(&fs).Elem()
+	for i := 0; i < fv.NumField(); i++ {
+		switch f := fv.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i + 1))
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 0.5)
+		case reflect.String:
+			f.SetString("shedding")
+		default:
+			t.Fatalf("Stats.%s has unhandled kind %v", fv.Type().Field(i).Name, f.Kind())
+		}
+	}
+	rv := reflect.ValueOf(statsResult(fs))
+	for i := 0; i < fv.NumField(); i++ {
+		name := fv.Type().Field(i).Name
+		if r, ok := renamed[name]; ok {
+			name = r
+		}
+		got := rv.FieldByName(name)
+		if !got.IsValid() {
+			t.Errorf("Stats.%s has no StatsResult field", fv.Type().Field(i).Name)
+			continue
+		}
+		if got.Interface() != fv.Field(i).Interface() {
+			t.Errorf("StatsResult.%s = %v, want %v", name, got.Interface(), fv.Field(i).Interface())
+		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"adaptrm/internal/api"
-	"adaptrm/internal/control"
 	"adaptrm/internal/flightlog"
 	"adaptrm/internal/metrics"
 )
@@ -196,88 +195,41 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	e := metrics.NewEmitter(w)
 
-	e.Family("adaptrm_fleet_devices", "Devices in the fleet.", "gauge")
-	e.Int("adaptrm_fleet_devices", int64(agg.Devices))
-	e.Family("adaptrm_fleet_shards", "Shard worker goroutines.", "gauge")
-	e.Int("adaptrm_fleet_shards", int64(agg.Shards))
 	e.Family("adaptrm_uptime_seconds", "Seconds since the server was built.", "gauge")
 	e.Float("adaptrm_uptime_seconds", s.now().Sub(s.start).Seconds())
 
-	counter := func(name, help string, agg int64, per func(api.StatsResult) int64) {
-		e.Family(name, help, "counter")
-		e.Int(name, agg)
-		if per != nil {
+	// The service families, one per api.Counters row. The unlabeled
+	// sample is the fleet-wide value; device="N" samples split it.
+	// Controller families appear only when the service reports a
+	// controller mode — a controller-less daemon's scrape stays
+	// byte-identical to a pre-control build.
+	for _, c := range api.Counters {
+		if c.Metric == "" || c.Is(api.Controlled) && agg.ControlMode == "" {
+			continue
+		}
+		typ := "counter"
+		if c.Is(api.Gauge) {
+			typ = "gauge"
+		}
+		e.Family(c.Metric, c.Help, typ)
+		e.Int(c.Metric, int64(c.Value(&agg)))
+		if c.Is(api.PerDevice) {
 			for d := range devs {
-				e.Int(name, per(devs[d]), metrics.L("device", strconv.Itoa(d)))
+				e.Int(c.Metric, int64(c.Value(&devs[d])), metrics.L("device", strconv.Itoa(d)))
 			}
 		}
 	}
-	// Admission and lifecycle counters, aggregate plus per device. The
-	// unlabeled sample is the fleet-wide value; device="N" samples
-	// split it.
-	counter("adaptrm_requests_submitted_total", "Admission requests received.",
-		int64(agg.Submitted), func(s api.StatsResult) int64 { return int64(s.Submitted) })
-	counter("adaptrm_requests_accepted_total", "Admission requests accepted.",
-		int64(agg.Accepted), func(s api.StatsResult) int64 { return int64(s.Accepted) })
-	counter("adaptrm_requests_rejected_total", "Admission requests rejected (no feasible schedule).",
-		int64(agg.Rejected), func(s api.StatsResult) int64 { return int64(s.Rejected) })
-	counter("adaptrm_jobs_completed_total", "Jobs run to completion.",
-		int64(agg.Completed), func(s api.StatsResult) int64 { return int64(s.Completed) })
-	counter("adaptrm_jobs_cancelled_total", "Jobs cancelled while active.",
-		int64(agg.Cancelled), func(s api.StatsResult) int64 { return int64(s.Cancelled) })
-	counter("adaptrm_jobs_deadline_misses_total", "Completed jobs that violated their deadline.",
-		int64(agg.DeadlineMisses), func(s api.StatsResult) int64 { return int64(s.DeadlineMisses) })
-
 	e.Family("adaptrm_energy_joules_total", "Energy of all executed schedule fractions.", "counter")
 	e.Float("adaptrm_energy_joules_total", agg.Energy)
 	for d := range devs {
 		e.Float("adaptrm_energy_joules_total", devs[d].Energy, metrics.L("device", strconv.Itoa(d)))
 	}
-
-	counter("adaptrm_scheduler_activations_total", "Scheduler invocations (cache hits included).",
-		int64(agg.Activations), func(s api.StatsResult) int64 { return int64(s.Activations) })
 	e.Family("adaptrm_scheduler_busy_seconds_total", "Cumulative scheduler wall time.", "counter")
 	e.Float("adaptrm_scheduler_busy_seconds_total", agg.SchedulingTime.Seconds())
-
-	counter("adaptrm_cache_hits_total", "Schedule-cache hits.", int64(agg.CacheHits), nil)
-	counter("adaptrm_cache_misses_total", "Schedule-cache misses.", int64(agg.CacheMisses), nil)
-	counter("adaptrm_cache_stale_total", "Schedule-cache entries invalidated on reuse.", int64(agg.CacheStale), nil)
-	counter("adaptrm_cache_evictions_total", "Schedule-cache LRU evictions.", int64(agg.CacheEvictions), nil)
-	counter("adaptrm_cache_repacks_total", "Schedule-cache re-pack reuses.", int64(agg.CacheRepacks), nil)
-	counter("adaptrm_cache_shared_hits_total", "Lookups served from the fleet-wide shared cache tier.",
-		int64(agg.CacheSharedHits), nil)
-	counter("adaptrm_cache_promotions_total", "Entries promoted into the shared cache tier.",
-		int64(agg.CachePromotions), nil)
-	counter("adaptrm_schedule_swaps_total", "Accepted anytime-refinement schedule swaps.",
-		int64(agg.ScheduleSwaps), func(s api.StatsResult) int64 { return int64(s.ScheduleSwaps) })
-	counter("adaptrm_refine_searches_total", "Background exact refinement searches run.",
-		int64(agg.RefineSearches), nil)
-	counter("adaptrm_refine_improved_total", "Refinement searches that beat their incumbent.",
-		int64(agg.RefineImproved), nil)
-	counter("adaptrm_refine_skipped_total", "Refinement tasks skipped (exact result already shared).",
-		int64(agg.RefineSkipped), nil)
-	counter("adaptrm_refine_dropped_total", "Refinement offers dropped on a full queue.",
-		int64(agg.RefineDropped), nil)
-	counter("adaptrm_coalesced_batches_total", "Multi-request batched activations.", int64(agg.CoalescedBatches), nil)
-	counter("adaptrm_coalesced_requests_total", "Submits decided inside a coalesced batch.", int64(agg.CoalescedRequests), nil)
-
-	e.Family("adaptrm_watch_subscribers", "Open watch subscriptions.", "gauge")
-	e.Int("adaptrm_watch_subscribers", int64(agg.WatchSubscribers))
-	counter("adaptrm_watch_dropped_total", "Events dropped from slow watch subscribers.", int64(agg.WatchDropped), nil)
-
-	// Degradation-controller families, emitted only when the service
-	// reports a controller mode — a controller-less daemon's scrape
-	// stays byte-identical to a pre-control build.
 	if agg.ControlMode != "" {
-		var mode int64
-		if m, err := control.ParseMode(agg.ControlMode); err == nil {
-			mode = int64(m)
-		}
+		mode, _ := api.ParseMode(agg.ControlMode)
 		e.Family("adaptrm_control_mode", "Degradation tier (0 normal, 1 heuristic-only, 2 shedding).", "gauge")
-		e.Int("adaptrm_control_mode", mode)
-		counter("adaptrm_shed_total", "Admission requests shed early with an overloaded error.", int64(agg.Shed), nil)
-		counter("adaptrm_control_ticks_total", "Degradation-controller decision ticks.", int64(agg.ControlTicks), nil)
-		counter("adaptrm_control_mode_changes_total", "Degradation-tier transitions (both directions).", int64(agg.ControlModeChanges), nil)
+		e.Int("adaptrm_control_mode", int64(mode))
 	}
 
 	// Per-shard queue depth, when the wrapped service exposes it (the
@@ -297,8 +249,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.emitWALMetrics(e)
-	e.Family("adaptrm_queue_depth_max", "High-water mark of pending requests over all shard mailboxes.", "gauge")
-	e.Int("adaptrm_queue_depth_max", int64(agg.MaxQueueDepth))
 
 	// Per-tenant quota refusals, sorted by tenant name for a
 	// deterministic scrape.

@@ -594,10 +594,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if req.Device == nil {
 		// Fleet-wide scope also reports what the transport itself turned
 		// away: quota refusals never reach the service, so only this
-		// layer can count them.
+		// layer can count them. Add, not assign — behind a router the
+		// service result already carries the nodes' refusals.
 		b, rate := s.QuotaRefusals()
-		res.QuotaBudgetRefusals = int(b)
-		res.QuotaRateRefusals = int(rate)
+		res.QuotaBudgetRefusals += int(b)
+		res.QuotaRateRefusals += int(rate)
 	}
 	writeJSON(w, http.StatusOK, res)
 }

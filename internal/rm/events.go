@@ -34,7 +34,7 @@ const (
 	EventScheduleSwapped EventType = "schedule_swapped"
 	// EventModeChanged: the degradation controller switched the
 	// device's operating mode (SetMode). Payload carries the new mode's
-	// wire name (control.Mode.String); like EventScheduleSwapped the
+	// wire name (api.Mode.String); like EventScheduleSwapped the
 	// decision came from outside the deterministic operation stream, so
 	// replay re-applies the logged payload verbatim (ReplayMode) instead
 	// of re-deriving it.

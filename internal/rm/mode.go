@@ -3,12 +3,12 @@ package rm
 import (
 	"fmt"
 
-	"adaptrm/internal/control"
+	"adaptrm/internal/api"
 )
 
 // Mode returns the manager's current degradation tier (ModeNormal for
 // a manager that never saw a controller).
-func (m *Manager) Mode() control.Mode { return m.mode }
+func (m *Manager) Mode() api.Mode { return m.mode }
 
 // SetMode switches the manager's degradation tier. A change emits
 // EventModeChanged at the manager clock with the mode's wire name as
@@ -20,7 +20,7 @@ func (m *Manager) Mode() control.Mode { return m.mode }
 //
 // Like every manager call, SetMode must be serialised with the rest of
 // the manager's traffic (the fleet calls it under the device lock).
-func (m *Manager) SetMode(mo control.Mode) {
+func (m *Manager) SetMode(mo api.Mode) {
 	if mo == m.mode {
 		return
 	}
@@ -34,7 +34,7 @@ func (m *Manager) SetMode(mo control.Mode) {
 // it. The re-emitted event reuses the logged payload string and the
 // logged time, so the recovery verifier sees an identical event.
 func (m *Manager) ReplayMode(at float64, payload string) error {
-	mo, err := control.ParseMode(payload)
+	mo, err := api.ParseMode(payload)
 	if err != nil {
 		return fmt.Errorf("rm: mode payload: %w", err)
 	}

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"testing"
 
-	"adaptrm/internal/control"
+	"adaptrm/internal/api"
 	"adaptrm/internal/core"
 	"adaptrm/internal/job"
 	"adaptrm/internal/motiv"
@@ -25,10 +25,10 @@ func countingScheduler(id string, n *int) sched.Scheduler {
 
 func TestSetModeEmitsEventOnce(t *testing.T) {
 	m, evs := collect(t, Options{})
-	m.SetMode(control.ModeHeuristicOnly)
-	m.SetMode(control.ModeHeuristicOnly) // unchanged: no event
-	m.SetMode(control.ModeNormal)
-	if m.Mode() != control.ModeNormal {
+	m.SetMode(api.ModeHeuristicOnly)
+	m.SetMode(api.ModeHeuristicOnly) // unchanged: no event
+	m.SetMode(api.ModeNormal)
+	if m.Mode() != api.ModeNormal {
 		t.Fatalf("mode = %v, want normal", m.Mode())
 	}
 	var got []Event
@@ -60,7 +60,7 @@ func TestDegradedModeUsesFallback(t *testing.T) {
 		t.Fatalf("normal mode activations main=%d fb=%d, want 1/0", mainN, fbN)
 	}
 
-	m.SetMode(control.ModeHeuristicOnly)
+	m.SetMode(api.ModeHeuristicOnly)
 	if _, ok, _, err := m.Submit(1, "lambda2", 8); err != nil || !ok {
 		t.Fatalf("degraded submit: ok=%v err=%v", ok, err)
 	}
@@ -68,7 +68,7 @@ func TestDegradedModeUsesFallback(t *testing.T) {
 		t.Fatalf("degraded activations main=%d fb=%d, want 1/1", mainN, fbN)
 	}
 
-	m.SetMode(control.ModeNormal)
+	m.SetMode(api.ModeNormal)
 	if _, err := m.Drain(); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
@@ -87,7 +87,7 @@ func TestDegradedModeWithoutFallbackKeepsScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetMode(control.ModeHeuristicOnly)
+	m.SetMode(api.ModeHeuristicOnly)
 	if _, ok, _, err := m.Submit(0, "lambda1", 9); err != nil || !ok {
 		t.Fatalf("submit: ok=%v err=%v", ok, err)
 	}
@@ -101,7 +101,7 @@ func TestSnapshotCarriesMode(t *testing.T) {
 	if s := m.Snapshot(); s.Mode != "" {
 		t.Fatalf("normal-mode snapshot carries mode %q", s.Mode)
 	}
-	m.SetMode(control.ModeShedding)
+	m.SetMode(api.ModeShedding)
 	s := m.Snapshot()
 	if s.Mode != "shedding" {
 		t.Fatalf("snapshot mode = %q, want shedding", s.Mode)
@@ -111,13 +111,13 @@ func TestSnapshotCarriesMode(t *testing.T) {
 	if err := fresh.Restore(s); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if fresh.Mode() != control.ModeShedding {
+	if fresh.Mode() != api.ModeShedding {
 		t.Fatalf("restored mode = %v, want shedding", fresh.Mode())
 	}
 
 	// A manager already moved off ModeNormal is not fresh.
 	dirty := newMgr(t, Options{})
-	dirty.SetMode(control.ModeHeuristicOnly)
+	dirty.SetMode(api.ModeHeuristicOnly)
 	if err := dirty.Restore(m.Snapshot()); !errors.Is(err, ErrRestore) {
 		t.Fatalf("restore into degraded manager: %v, want ErrRestore", err)
 	}
@@ -135,7 +135,7 @@ func TestReplayModeVerbatim(t *testing.T) {
 	if err := m.ReplayMode(3.5, "shedding"); err != nil {
 		t.Fatal(err)
 	}
-	if m.Mode() != control.ModeShedding {
+	if m.Mode() != api.ModeShedding {
 		t.Fatalf("mode = %v, want shedding", m.Mode())
 	}
 	last := (*evs)[len(*evs)-1]

@@ -18,7 +18,7 @@ import (
 	"sort"
 	"time"
 
-	"adaptrm/internal/control"
+	"adaptrm/internal/api"
 	"adaptrm/internal/job"
 	"adaptrm/internal/opset"
 	"adaptrm/internal/platform"
@@ -112,7 +112,7 @@ type Manager struct {
 	stats    Stats
 	// mode is the degradation tier (see mode.go); from
 	// ModeHeuristicOnly up, schedule() prefers opt.Fallback.
-	mode control.Mode
+	mode api.Mode
 
 	// Advance-accounting scratch, reused across AdvanceTo calls so the
 	// activation hot path stays free of bookkeeping allocations (the
@@ -531,7 +531,7 @@ func (m *Manager) OnCompletion() {
 // their results are already checked against (jobs, plat, t).
 func (m *Manager) schedule(jobs job.Set, t float64) (*schedule.Schedule, error) {
 	s := m.scheduler
-	if m.mode != control.ModeNormal && m.opt.Fallback != nil {
+	if m.mode != api.ModeNormal && m.opt.Fallback != nil {
 		s = m.opt.Fallback
 	}
 	m.stats.Activations++

@@ -6,7 +6,7 @@ import (
 	"sort"
 	"time"
 
-	"adaptrm/internal/control"
+	"adaptrm/internal/api"
 	"adaptrm/internal/job"
 	"adaptrm/internal/schedule"
 )
@@ -111,7 +111,7 @@ func (m *Manager) Snapshot() *Snapshot {
 		SchedulingTimeNs: int64(m.stats.SchedulingTime),
 		Swapped:          m.stats.Swapped,
 	}
-	if m.mode != control.ModeNormal {
+	if m.mode != api.ModeNormal {
 		s.Mode = m.mode.String()
 	}
 	for _, j := range m.active {
@@ -142,13 +142,13 @@ func (m *Manager) Restore(s *Snapshot) error {
 	if s == nil {
 		return fmt.Errorf("%w: nil", ErrRestore)
 	}
-	if m.now != 0 || m.nextID != 1 || len(m.active) != 0 || m.stats != (Stats{}) || m.mode != control.ModeNormal {
+	if m.now != 0 || m.nextID != 1 || len(m.active) != 0 || m.stats != (Stats{}) || m.mode != api.ModeNormal {
 		return fmt.Errorf("%w: manager not fresh", ErrRestore)
 	}
-	mode := control.ModeNormal
+	mode := api.ModeNormal
 	if s.Mode != "" {
 		var err error
-		if mode, err = control.ParseMode(s.Mode); err != nil {
+		if mode, err = api.ParseMode(s.Mode); err != nil {
 			return fmt.Errorf("%w: %w", ErrRestore, err)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"adaptrm/internal/api"
 	"adaptrm/internal/placement"
@@ -43,22 +42,6 @@ func TestNewValidation(t *testing.T) {
 	}
 	if rt.Placement().Owners() != 1 {
 		t.Errorf("default placement owners = %d, want 1", rt.Placement().Owners())
-	}
-}
-
-func TestMergeStats(t *testing.T) {
-	got := mergeStats([]api.StatsResult{
-		{Devices: 4, Shards: 2, Submitted: 10, Accepted: 7, Rejected: 3,
-			Energy: 1.5, Activations: 9, SchedulingTime: 2 * time.Millisecond, MaxQueueDepth: 3},
-		{Devices: 4, Shards: 2, Submitted: 5, Accepted: 5,
-			Energy: 0.25, Activations: 4, SchedulingTime: time.Millisecond, MaxQueueDepth: 7},
-	})
-	want := api.StatsResult{
-		Devices: 4, Shards: 4, Submitted: 15, Accepted: 12, Rejected: 3,
-		Energy: 1.75, Activations: 13, SchedulingTime: 3 * time.Millisecond, MaxQueueDepth: 7,
-	}
-	if got != want {
-		t.Errorf("merge:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 

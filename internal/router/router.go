@@ -16,9 +16,9 @@
 // a single-node fleet shard would.
 //
 // Fleet-wide operations fan out. Stats queries every backend
-// concurrently and merges in fixed peer order — counters summed,
-// device count maxed — so the merge is deterministic for given peer
-// snapshots. Fleet-wide watches open one stream per backend and merge
+// concurrently and merges in fixed peer order by each counter's
+// declared rule (api.MergeStats), so the merge is deterministic for
+// given peer snapshots. Fleet-wide watches open one stream per backend and merge
 // them into a single channel; per-device ordering survives because
 // each device's events all travel one stream, and cross-device
 // interleaving was never guaranteed by the protocol in the first
@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"adaptrm/internal/api"
-	"adaptrm/internal/control"
 	"adaptrm/internal/placement"
 )
 
@@ -159,7 +158,7 @@ func (r *Router) SubmitBatch(ctx context.Context, req api.BatchSubmitRequest) (a
 
 // Stats implements api.Service. A single-device query routes to the
 // owner; the fleet-wide query fans out to every backend concurrently
-// and merges the snapshots in fixed peer order (see merge), so the
+// and merges the snapshots in fixed peer order (api.MergeStats), so the
 // result is deterministic for given per-peer values. Any unreachable
 // backend fails the merged query — a partial sum silently missing a
 // node's counters would be indistinguishable from real values.
@@ -187,69 +186,5 @@ func (r *Router) Stats(ctx context.Context, req api.StatsRequest) (api.StatsResu
 			return api.StatsResult{}, err
 		}
 	}
-	return mergeStats(results), nil
-}
-
-// mergeStats folds per-backend snapshots into the fleet-wide view, in
-// backend order. Every node of a routed deployment hosts the full
-// device space (the placement partitions traffic, not configuration),
-// so Devices is the maximum, not the sum; a device's counters are all
-// zero on every node but its owner, so plain sums reconstruct exactly
-// the numbers a single fleet would report. Shards sums (total worker
-// goroutines behind the router) and MaxQueueDepth maxes — both are
-// operational fields the Deterministic() view strips anyway.
-func mergeStats(in []api.StatsResult) api.StatsResult {
-	var out api.StatsResult
-	for _, s := range in {
-		if s.Devices > out.Devices {
-			out.Devices = s.Devices
-		}
-		if s.MaxQueueDepth > out.MaxQueueDepth {
-			out.MaxQueueDepth = s.MaxQueueDepth
-		}
-		out.Shards += s.Shards
-		out.Submitted += s.Submitted
-		out.Accepted += s.Accepted
-		out.Rejected += s.Rejected
-		out.Completed += s.Completed
-		out.DeadlineMisses += s.DeadlineMisses
-		out.Cancelled += s.Cancelled
-		out.Energy += s.Energy
-		out.Activations += s.Activations
-		out.SchedulingTime += s.SchedulingTime
-		out.CacheHits += s.CacheHits
-		out.CacheMisses += s.CacheMisses
-		out.CacheStale += s.CacheStale
-		out.CacheEvictions += s.CacheEvictions
-		out.CacheRepacks += s.CacheRepacks
-		out.CacheSharedHits += s.CacheSharedHits
-		out.CachePromotions += s.CachePromotions
-		out.ScheduleSwaps += s.ScheduleSwaps
-		out.RefineSearches += s.RefineSearches
-		out.RefineImproved += s.RefineImproved
-		out.RefineSkipped += s.RefineSkipped
-		out.RefineDropped += s.RefineDropped
-		out.CoalescedBatches += s.CoalescedBatches
-		out.CoalescedRequests += s.CoalescedRequests
-		out.WatchSubscribers += s.WatchSubscribers
-		out.WatchDropped += s.WatchDropped
-		out.QuotaBudgetRefusals += s.QuotaBudgetRefusals
-		out.QuotaRateRefusals += s.QuotaRateRefusals
-		out.Shed += s.Shed
-		out.ControlTicks += s.ControlTicks
-		out.ControlModeChanges += s.ControlModeChanges
-		// The routed mode is the worst tier over the backends that report
-		// one: a probe acting on the merged view must see a single
-		// shedding node.
-		if s.ControlMode != "" {
-			m, err := control.ParseMode(s.ControlMode)
-			if err == nil {
-				cur, curErr := control.ParseMode(out.ControlMode)
-				if out.ControlMode == "" || curErr == nil && m > cur {
-					out.ControlMode = m.String()
-				}
-			}
-		}
-	}
-	return out
+	return api.MergeStats(results), nil
 }

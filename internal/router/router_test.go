@@ -839,3 +839,42 @@ func TestRouterMergesControlMode(t *testing.T) {
 			res.Shed, res.ControlTicks, res.ControlModeChanges)
 	}
 }
+
+// TestRoutedStatsKeepsNodeQuotaRefusals: a node's quota refusals reach
+// the fleet-wide stats of the edge in front of the router. The nodes
+// admit the router under a peer token with a one-request budget; the
+// second submit to the same node is refused there, not at the edge,
+// and the edge must add its own (zero) refusals to the merged count
+// instead of overwriting it.
+func TestRoutedStatsKeepsNodeQuotaRefusals(t *testing.T) {
+	const devices = 2
+	backends := make([]router.Backend, devices)
+	for i := range backends {
+		f := newFleet(t, devices, fleet.Options{})
+		t.Cleanup(func() { _ = f.Close() })
+		s, err := httpapi.NewServer(f.Service(), httpapi.ServerOptions{
+			Tenants: []httpapi.Tenant{{Name: "peer", Token: "peer-token", MaxRequests: 1}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s)
+		t.Cleanup(ts.Close)
+		backends[i] = router.Backend{Name: fmt.Sprintf("node%d", i), Service: httpapi.NewClient(ts.URL, "peer-token", ts.Client())}
+	}
+	edge := overHTTP(t, mustRouter(t, backends, placement.Modulo(devices)))
+
+	if _, err := edge.Submit(bg, api.SubmitRequest{Device: 0, At: 0, App: "lambda1", Deadline: 9}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := edge.Submit(bg, api.SubmitRequest{Device: 0, At: 1, App: "lambda1", Deadline: 9}); !errors.Is(err, api.ErrQuotaExceeded) {
+		t.Fatalf("second submit to node0: %v, want ErrQuotaExceeded", err)
+	}
+	st, err := edge.Stats(bg, api.StatsRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.QuotaBudgetRefusals != 1 || st.QuotaRateRefusals != 0 {
+		t.Errorf("edge quota refusals = budget %d, rate %d; want 1, 0", st.QuotaBudgetRefusals, st.QuotaRateRefusals)
+	}
+}

@@ -5,8 +5,8 @@
 #
 # Unlike ns/op, allocs/op is deterministic for a fixed benchtime and Go
 # version — it does not depend on host speed or load — so this gate runs
-# in CI on every push, while the ns/op comparison (bench-compare.sh)
-# stays a same-host advisory tool.
+# in CI on every push, while timings (rmbench/run.sh -compare) stay a
+# same-host advisory tool.
 #
 # Baseline format (benchmarks/allocs-baseline.txt): lines of
 #   BenchmarkName <max allocs/op>

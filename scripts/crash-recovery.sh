@@ -27,55 +27,26 @@
 #   CRASH_DEVICES   fleet size (default 4)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
 DURATION=${CRASH_DURATION:-2s}
 RPS=${CRASH_RPS:-150}
 DEVICES=${CRASH_DEVICES:-4}
 SUBSET='{devices, submitted, accepted, rejected, completed, deadline_misses, cancelled, energy}'
 
-workdir=$(mktemp -d)
-cleanup() {
-	if [[ -n ${server_pid:-} ]] && kill -0 "$server_pid" 2>/dev/null; then
-		kill -9 "$server_pid" 2>/dev/null || true
-		wait "$server_pid" 2>/dev/null || true
-	fi
-	rm -rf "$workdir"
-}
-trap cleanup EXIT
+setup_daemons
 
-go build -o "$workdir/rmserve" ./cmd/rmserve
-go build -o "$workdir/rmsoak" ./cmd/rmsoak
-
-# start_daemon <data dir> <log file>: launches rmserve on a free port
-# and sets $server_pid and $addr.
+# start_daemon <data dir> <log file>: launches a durable rmserve on a
+# free port and sets $SERVER_PID and $ADDR.
 start_daemon() {
-	local datadir=$1 log=$2
-	"$workdir/rmserve" -listen 127.0.0.1:0 -devices "$DEVICES" \
-		-data-dir "$datadir" -fsync always >"$log" 2>&1 &
-	server_pid=$!
-	addr=""
-	for _ in $(seq 1 100); do
-		addr=$(sed -n 's/^listening: \([^ ]*\).*/\1/p' "$log")
-		[[ -n $addr ]] && break
-		if ! kill -0 "$server_pid" 2>/dev/null; then
-			echo "rmserve died before listening:" >&2
-			cat "$log" >&2
-			exit 1
-		fi
-		sleep 0.1
-	done
-	if [[ -z $addr ]]; then
-		echo "rmserve never printed its address" >&2
-		cat "$log" >&2
-		exit 1
-	fi
+	start_rmserve "$2" -listen 127.0.0.1:0 -devices "$DEVICES" \
+		-data-dir "$1" -fsync always
 }
 
 # hard_kill: SIGKILL the daemon — no flush, no shutdown hook.
 hard_kill() {
-	kill -9 "$server_pid"
-	wait "$server_pid" 2>/dev/null || true
-	server_pid=""
+	kill -9 "$SERVER_PID"
+	wait "$SERVER_PID" 2>/dev/null || true
 }
 
 # quiesce: poll /metrics until every device's WAL position matches its
@@ -83,7 +54,7 @@ hard_kill() {
 # guarantees everything matched is on disk).
 quiesce() {
 	for _ in $(seq 1 100); do
-		if curl -fsS "http://$addr/metrics" | awk '
+		if curl -fsS "http://$ADDR/metrics" | awk '
 			/^adaptrm_device_event_seq\{/ { split($1, a, "\""); dev[a[2]] = $2 }
 			/^adaptrm_wal_last_seq\{/     { split($1, a, "\""); wal[a[2]] = $2 }
 			END {
@@ -96,23 +67,23 @@ quiesce() {
 		sleep 0.1
 	done
 	echo "WAL never caught up with the event stream" >&2
-	curl -fsS "http://$addr/metrics" | grep -E 'adaptrm_(wal_last|device_event)_seq' >&2 || true
+	curl -fsS "http://$ADDR/metrics" | grep -E 'adaptrm_(wal_last|device_event)_seq' >&2 || true
 	exit 1
 }
 
 stats() {
-	curl -fsS "http://$addr/v1/stats" | jq -cS "$SUBSET"
+	curl -fsS "http://$ADDR/v1/stats" | jq -cS "$SUBSET"
 }
 
 # wal_positions: per-device WAL sequence as daemon-agnostic JSON —
 # from the flightlog dump's WAL aux before a kill, from /metrics after
 # a restart.
 flightlog_wal_positions() {
-	curl -fsS "http://$addr/debug/flightlog" |
+	curl -fsS "http://$ADDR/debug/flightlog" |
 		jq -c '[.aux.wal.devices[] | {device, seq: .last_seq}]'
 }
 metrics_wal_positions() {
-	curl -fsS "http://$addr/metrics" | awk '
+	curl -fsS "http://$ADDR/metrics" | awk '
 		/^adaptrm_wal_last_seq\{/ { split($1, a, "\""); print a[2], $2 }
 	' | sort -n | jq -Rcs '[split("\n")[] | select(length > 0) | split(" ") |
 		{device: (.[0] | tonumber), seq: (.[1] | tonumber)}]'
@@ -120,8 +91,8 @@ metrics_wal_positions() {
 
 # --- Phase 1: kill -9 mid-soak, restart, require a recovery report ----
 start_daemon "$workdir/data1" "$workdir/rmserve-a.log"
-echo "crash-recovery: daemon A at $addr (data dir $workdir/data1)"
-"$workdir/rmsoak" -addr "http://$addr" -rps "$RPS" -duration "$DURATION" \
+echo "crash-recovery: daemon A at $ADDR (data dir $workdir/data1)"
+"$workdir/rmsoak" -addr "http://$ADDR" -rps "$RPS" -duration "$DURATION" \
 	-devices "$DEVICES" >"$workdir/rmsoak-a.log" 2>&1 &
 soak_pid=$!
 sleep 1
@@ -137,7 +108,7 @@ if [[ -z $recovery ]]; then
 	exit 1
 fi
 echo "crash-recovery: daemon B recovered: $recovery"
-submitted=$(curl -fsS "http://$addr/v1/stats" | jq .submitted)
+submitted=$(curl -fsS "http://$ADDR/v1/stats" | jq .submitted)
 if [[ $submitted -le 0 ]]; then
 	echo "daemon B recovered no submissions (submitted=$submitted)" >&2
 	exit 1
@@ -146,8 +117,8 @@ hard_kill
 
 # --- Phase 2: strict soak, quiesced kill -9, exact equivalence --------
 start_daemon "$workdir/data2" "$workdir/rmserve-c.log"
-echo "crash-recovery: daemon C at $addr (data dir $workdir/data2)"
-"$workdir/rmsoak" -addr "http://$addr" -rps "$RPS" -duration "$DURATION" \
+echo "crash-recovery: daemon C at $ADDR (data dir $workdir/data2)"
+"$workdir/rmsoak" -addr "http://$ADDR" -rps "$RPS" -duration "$DURATION" \
 	-devices "$DEVICES" -strict >"$workdir/rmsoak-c.log" 2>&1 ||
 	{
 		echo "strict rmsoak failed:" >&2
@@ -178,7 +149,6 @@ fi
 echo "crash-recovery: stats identical across kill -9: $after_stats"
 echo "crash-recovery: WAL positions identical across kill -9: $after_wal"
 
-kill -INT "$server_pid"
-wait "$server_pid" || true
-server_pid=""
+kill -INT "$SERVER_PID"
+wait "$SERVER_PID" || true
 echo "crash-recovery: ok"

@@ -15,63 +15,23 @@
 #   SOAK_DEVICES   fleet size (default 4)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
 DURATION=${SOAK_DURATION:-2s}
 RPS=${SOAK_RPS:-100}
 DEVICES=${SOAK_DEVICES:-4}
 
-workdir=$(mktemp -d)
-pids=()
-cleanup() {
-	for pid in "${pids[@]:-}"; do
-		if [[ -n $pid ]] && kill -0 "$pid" 2>/dev/null; then
-			kill -INT "$pid" 2>/dev/null || true
-			wait "$pid" 2>/dev/null || true
-		fi
-	done
-	rm -rf "$workdir"
-}
-trap cleanup EXIT
+setup_daemons
 
-go build -o "$workdir/rmserve" ./cmd/rmserve
-go build -o "$workdir/rmsoak" ./cmd/rmsoak
-
-# start_server LOGFILE ARGS... boots one rmserve in the background and
-# waits for its "listening:" line; the resolved address lands in ADDR
-# and the process id in SERVER_PID (appended to pids for cleanup).
-start_server() {
-	local log=$1
-	shift
-	"$workdir/rmserve" "$@" >"$log" 2>&1 &
-	SERVER_PID=$!
-	pids+=("$SERVER_PID")
-	ADDR=""
-	for _ in $(seq 1 50); do
-		ADDR=$(sed -n 's/^listening: \([^ ]*\).*/\1/p' "$log")
-		[[ -n $ADDR ]] && break
-		if ! kill -0 "$SERVER_PID" 2>/dev/null; then
-			echo "rmserve died before listening ($log):" >&2
-			cat "$log" >&2
-			exit 1
-		fi
-		sleep 0.1
-	done
-	if [[ -z $ADDR ]]; then
-		echo "rmserve never printed its address ($log)" >&2
-		cat "$log" >&2
-		exit 1
-	fi
-}
-
-start_server "$workdir/node0.log" -listen 127.0.0.1:0 -devices "$DEVICES"
+start_rmserve "$workdir/node0.log" -listen 127.0.0.1:0 -devices "$DEVICES"
 node0_addr=$ADDR
-start_server "$workdir/node1.log" -listen 127.0.0.1:0 -devices "$DEVICES"
+start_rmserve "$workdir/node1.log" -listen 127.0.0.1:0 -devices "$DEVICES"
 node1_addr=$ADDR
 node1_pid=$SERVER_PID
 
 # Seed 42 spreads devices 0..3 over both owners (pinned by the router's
 # cross-topology equivalence test), so both nodes see traffic.
-start_server "$workdir/router.log" -route -listen 127.0.0.1:0 \
+start_rmserve "$workdir/router.log" -route -listen 127.0.0.1:0 \
 	-peers "$node0_addr,$node1_addr" -ring-seed 42
 router_addr=$ADDR
 

@@ -13,53 +13,24 @@
 #   SOAK_DEVICES   fleet size (default 4)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
 DURATION=${SOAK_DURATION:-2s}
 RPS=${SOAK_RPS:-100}
 DEVICES=${SOAK_DEVICES:-4}
 
-workdir=$(mktemp -d)
-cleanup() {
-	if [[ -n ${server_pid:-} ]] && kill -0 "$server_pid" 2>/dev/null; then
-		kill -INT "$server_pid" 2>/dev/null || true
-		wait "$server_pid" 2>/dev/null || true
-	fi
-	rm -rf "$workdir"
-}
-trap cleanup EXIT
-
-go build -o "$workdir/rmserve" ./cmd/rmserve
-go build -o "$workdir/rmsoak" ./cmd/rmsoak
+setup_daemons
 
 # -listen :0 binds a free port; the daemon prints the resolved address
 # on its "listening:" line.
-"$workdir/rmserve" -listen 127.0.0.1:0 -devices "$DEVICES" >"$workdir/rmserve.log" 2>&1 &
-server_pid=$!
+start_rmserve "$workdir/rmserve.log" -listen 127.0.0.1:0 -devices "$DEVICES"
+echo "smoke-soak: daemon at $ADDR, ${RPS} ops/s for ${DURATION}"
 
-addr=""
-for _ in $(seq 1 50); do
-	addr=$(sed -n 's/^listening: \([^ ]*\).*/\1/p' "$workdir/rmserve.log")
-	[[ -n $addr ]] && break
-	if ! kill -0 "$server_pid" 2>/dev/null; then
-		echo "rmserve died before listening:" >&2
-		cat "$workdir/rmserve.log" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
-if [[ -z $addr ]]; then
-	echo "rmserve never printed its address" >&2
-	cat "$workdir/rmserve.log" >&2
-	exit 1
-fi
-echo "smoke-soak: daemon at $addr, ${RPS} ops/s for ${DURATION}"
-
-"$workdir/rmsoak" -addr "http://$addr" -rps "$RPS" -duration "$DURATION" \
+"$workdir/rmsoak" -addr "http://$ADDR" -rps "$RPS" -duration "$DURATION" \
 	-devices "$DEVICES" -strict
 
-kill -INT "$server_pid"
-wait "$server_pid" || true
-server_pid=""
+kill -INT "$SERVER_PID"
+wait "$SERVER_PID" || true
 
 # Second pass: the anytime-refinement configuration. Build a small warm
 # shared-cache file offline (replay mode with refinement drains the
@@ -78,36 +49,16 @@ server_pid=""
 # The node budget is capped so background searches cannot monopolise
 # the small CI container's cores; the soak gates reconciliation, not
 # refinement depth.
-"$workdir/rmserve" -listen 127.0.0.1:0 -devices "$DEVICES" \
+start_rmserve "$workdir/rmserve-warm.log" -listen 127.0.0.1:0 -devices "$DEVICES" \
 	-cache-warm "$workdir/warm.json" -refine -refine-workers 2 \
-	-refine-budget 200000 \
-	>"$workdir/rmserve-warm.log" 2>&1 &
-server_pid=$!
+	-refine-budget 200000
+echo "smoke-soak: warm+refine daemon at $ADDR, ${RPS} ops/s for ${DURATION}"
 
-addr=""
-for _ in $(seq 1 50); do
-	addr=$(sed -n 's/^listening: \([^ ]*\).*/\1/p' "$workdir/rmserve-warm.log")
-	[[ -n $addr ]] && break
-	if ! kill -0 "$server_pid" 2>/dev/null; then
-		echo "warm rmserve died before listening:" >&2
-		cat "$workdir/rmserve-warm.log" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
-if [[ -z $addr ]]; then
-	echo "warm rmserve never printed its address" >&2
-	cat "$workdir/rmserve-warm.log" >&2
-	exit 1
-fi
-echo "smoke-soak: warm+refine daemon at $addr, ${RPS} ops/s for ${DURATION}"
-
-"$workdir/rmsoak" -addr "http://$addr" -rps "$RPS" -duration "$DURATION" \
+"$workdir/rmsoak" -addr "http://$ADDR" -rps "$RPS" -duration "$DURATION" \
 	-devices "$DEVICES" -strict
 
-kill -INT "$server_pid"
-wait "$server_pid" || true
-server_pid=""
+kill -INT "$SERVER_PID"
+wait "$SERVER_PID" || true
 
 # Third pass: the overload stage. The daemon runs the degradation
 # controller with a latency threshold any real admission clears, so
@@ -120,30 +71,11 @@ server_pid=""
 # that were admitted (shedding must keep the served path fast, not
 # collapse it).
 OVERLOAD_RPS=$((${RPS} * 5))
-"$workdir/rmserve" -listen 127.0.0.1:0 -devices "$DEVICES" \
-	-control -control-interval 20ms -control-high-latency 1ns \
-	>"$workdir/rmserve-overload.log" 2>&1 &
-server_pid=$!
+start_rmserve "$workdir/rmserve-overload.log" -listen 127.0.0.1:0 -devices "$DEVICES" \
+	-control -control-interval 20ms -control-high-latency 1ns
+echo "smoke-soak: overload daemon at $ADDR, ${OVERLOAD_RPS} ops/s for ${DURATION}"
 
-addr=""
-for _ in $(seq 1 50); do
-	addr=$(sed -n 's/^listening: \([^ ]*\).*/\1/p' "$workdir/rmserve-overload.log")
-	[[ -n $addr ]] && break
-	if ! kill -0 "$server_pid" 2>/dev/null; then
-		echo "overload rmserve died before listening:" >&2
-		cat "$workdir/rmserve-overload.log" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
-if [[ -z $addr ]]; then
-	echo "overload rmserve never printed its address" >&2
-	cat "$workdir/rmserve-overload.log" >&2
-	exit 1
-fi
-echo "smoke-soak: overload daemon at $addr, ${OVERLOAD_RPS} ops/s for ${DURATION}"
-
-"$workdir/rmsoak" -addr "http://$addr" -rps "$OVERLOAD_RPS" -duration "$DURATION" \
+"$workdir/rmsoak" -addr "http://$ADDR" -rps "$OVERLOAD_RPS" -duration "$DURATION" \
 	-devices "$DEVICES" -burst 4 -strict -max-p99 500ms \
 	| tee "$workdir/rmsoak-overload.out"
 
@@ -156,7 +88,6 @@ grep -q '^shedding:  server shed' "$workdir/rmsoak-overload.out" || {
 	exit 1
 }
 
-kill -INT "$server_pid"
-wait "$server_pid" || true
-server_pid=""
+kill -INT "$SERVER_PID"
+wait "$SERVER_PID" || true
 echo "smoke-soak: ok"
