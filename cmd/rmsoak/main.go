@@ -1,6 +1,6 @@
 // Command rmsoak drives a live rmserve daemon with an open-loop load of
 // admission traffic and reports client-side latency percentiles next to
-// the server's own /metrics counters — the socket-level counterpart of
+// the server's own stats counters — the socket-level counterpart of
 // the in-process benchmarks.
 //
 // The load is a seeded workload.FleetTrace (the same generator rmserve
@@ -22,10 +22,10 @@
 // job) and overloaded refusals (a daemon in ModeShedding protecting
 // itself, or mailbox backpressure) are expected outcomes, counted but
 // not errors; every other failure is a transport error. Before and
-// after the run rmsoak scrapes /metrics and reconciles the server's
-// submitted-counter delta against its own count — shed requests never
-// reach a device, so the reconciliation stays exact while the daemon
-// degrades — and, when the daemon exports adaptrm_shed_total, checks
+// after the run rmsoak reads the fleet-wide GET /v1/stats (the same
+// counters /metrics exports) and reconciles the server's submitted
+// delta against its own count — shed requests never reach a device, so
+// the reconciliation stays exact while the daemon degrades — and checks
 // the shed delta against the client-observed overloaded count.
 // -strict turns transport errors or a failed reconciliation into a
 // non-zero exit for CI; an intentionally-shedding daemon still passes.
@@ -37,9 +37,9 @@
 // w mod len), so the same flag soaks one node, a multi-node router
 // front-end, or the nodes directly. A device always belongs to one
 // worker and hence one address, preserving per-device order, and the
-// reconciliation sums the submitted counter over every listed
-// /metrics — list either the router or its nodes, never both (the
-// router's merged counters would double-count).
+// reconciliation sums the counters over every listed address — list
+// either the router or its nodes, never both (the router's merged
+// counters would double-count).
 //
 // Usage:
 //
@@ -55,7 +55,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -64,7 +63,6 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -96,7 +94,7 @@ type soakStats struct {
 }
 
 func main() {
-	addr := flag.String("addr", "http://127.0.0.1:8080", "base URL of the rmserve daemon, or a comma-separated list (workers round-robin across them; reconciliation sums every listed /metrics, so list either a router or its nodes, never both)")
+	addr := flag.String("addr", "http://127.0.0.1:8080", "base URL of the rmserve daemon, or a comma-separated list (workers round-robin across them; reconciliation sums every listed address's stats, so list either a router or its nodes, never both)")
 	token := flag.String("token", "", "bearer token (when the daemon runs tenanted)")
 	rps := flag.Float64("rps", 200, "aggregate offered rate in ops/sec (open loop)")
 	concurrency := flag.Int("concurrency", 4, "worker goroutines (each owns devices d with d%concurrency==w)")
@@ -108,7 +106,7 @@ func main() {
 	advanceEvery := flag.Int("advance-every", 5, "advance a device's clock every N of its submits (0 = never)")
 	cancelEvery := flag.Int("cancel-every", 7, "cancel every Nth accepted job (0 = never)")
 	tsv := flag.String("tsv", "", "write the machine-readable latency table to this file ('-' = stdout)")
-	strict := flag.Bool("strict", false, "exit non-zero on transport errors or a failed /metrics reconciliation (shed overloaded errors are expected outcomes, not failures)")
+	strict := flag.Bool("strict", false, "exit non-zero on transport errors or a failed stats reconciliation (shed overloaded errors are expected outcomes, not failures)")
 	maxP99 := flag.Duration("max-p99", 0, "exit non-zero when the client-side submit p99 exceeds this bound (0 = no bound; for overload-stage CI)")
 	flag.Parse()
 	if *rps <= 0 || *concurrency <= 0 || *devices <= 0 || *duration <= 0 {
@@ -148,9 +146,9 @@ func main() {
 			fatal(fmt.Errorf("daemon not answering at %s: %w", a, err))
 		}
 	}
-	before, err := scrapeCountersAll(addrs, *token)
+	before, err := fleetStats(ctx, clients, addrs)
 	if err != nil {
-		fatal(fmt.Errorf("pre-run /metrics scrape: %w", err))
+		fatal(fmt.Errorf("pre-run stats query: %w", err))
 	}
 
 	st := &soakStats{}
@@ -175,11 +173,11 @@ func main() {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	after, err := scrapeCountersAll(addrs, *token)
+	after, err := fleetStats(ctx, clients, addrs)
 	reconciled := false
 	shedDelta := int64(0)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rmsoak: post-run /metrics scrape:", err)
+		fmt.Fprintln(os.Stderr, "rmsoak: post-run stats query:", err)
 	} else {
 		// Shed submits were refused before reaching a device, so they are
 		// absent from both the client submit count and the server
@@ -187,11 +185,11 @@ func main() {
 		// daemon degrades. The shed counter reconciles separately: the
 		// server cannot have shed more than this (sole) client observed
 		// as overloaded errors.
-		reconciled = after.submitted-before.submitted == st.submits.Load()
-		shedDelta = after.shed - before.shed
+		reconciled = int64(after.Submitted-before.Submitted) == st.submits.Load()
+		shedDelta = int64(after.Shed - before.Shed)
 	}
 
-	printReport(os.Stdout, *addr, *rps, *concurrency, elapsed, st, before.submitted, after.submitted, shedDelta, err == nil, reconciled)
+	printReport(os.Stdout, *addr, *rps, *concurrency, elapsed, st, int64(before.Submitted), int64(after.Submitted), shedDelta, err == nil, reconciled)
 	if *tsv != "" {
 		if err := writeTSV(*tsv, st); err != nil {
 			fatal(err)
@@ -266,7 +264,7 @@ func worker(ctx context.Context, client *httpapi.Client, trace []workload.FleetR
 		case errors.Is(err, api.ErrOverloaded):
 			// Shed before any scheduler activation (or bounced off a full
 			// mailbox): the request never reached the device, so it is
-			// deliberately NOT a submit — the /metrics submitted-counter
+			// deliberately NOT a submit — the submitted-counter
 			// reconciliation stays exact while the daemon sheds.
 			st.overloaded.Add(1)
 			continue
@@ -323,79 +321,20 @@ func splitAddrs(s string) []string {
 	return out
 }
 
-// soakCounters are the server-side counters the soak reconciles
-// against, summed over the scraped addresses.
-type soakCounters struct {
-	submitted int64
-	// shed is adaptrm_shed_total, the admissions the degradation
-	// controller rejected early (0 when the family is absent — a
-	// controller-less daemon does not export it).
-	shed int64
-}
-
-// scrapeCountersAll sums the reconciliation counters across every
-// listed address. Against a single node (or a router, whose /metrics
-// already merges its backends) this is one scrape; against a node list
-// the sum reconstructs the fleet-wide count, since each device's
-// submits land on exactly one node.
-func scrapeCountersAll(addrs []string, token string) (soakCounters, error) {
-	var total soakCounters
-	for _, a := range addrs {
-		v, err := scrapeCounters(a, token)
-		if err != nil {
-			return soakCounters{}, fmt.Errorf("%s: %w", a, err)
-		}
-		total.submitted += v.submitted
-		total.shed += v.shed
-	}
-	return total, nil
-}
-
-// scrapeCounters fetches /metrics and returns the fleet-wide samples
-// (the unlabeled ones) of the reconciliation counters. The submitted
-// counter is mandatory; the shed counter is optional.
-func scrapeCounters(addr, token string) (soakCounters, error) {
-	var out soakCounters
-	req, err := http.NewRequest(http.MethodGet, strings.TrimRight(addr, "/")+"/metrics", nil)
-	if err != nil {
-		return out, err
-	}
-	if token != "" {
-		req.Header.Set("Authorization", "Bearer "+token)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return out, fmt.Errorf("GET /metrics: %d: %s", resp.StatusCode, body)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	found := false
-	for sc.Scan() {
-		line := sc.Text()
-		if v, ok := strings.CutPrefix(line, "adaptrm_requests_submitted_total "); ok {
-			if out.submitted, err = strconv.ParseInt(v, 10, 64); err != nil {
-				return out, err
-			}
-			found = true
-		}
-		if v, ok := strings.CutPrefix(line, "adaptrm_shed_total "); ok {
-			if out.shed, err = strconv.ParseInt(v, 10, 64); err != nil {
-				return out, err
-			}
+// fleetStats merges the fleet-wide stats of every listed address.
+// Against a single node (or a router, whose stats already merge its
+// backends) this is one call; against a node list the sum reconstructs
+// the fleet-wide count, since each device's submits land on exactly
+// one node.
+func fleetStats(ctx context.Context, clients []*httpapi.Client, addrs []string) (api.StatsResult, error) {
+	res := make([]api.StatsResult, len(clients))
+	for i, c := range clients {
+		var err error
+		if res[i], err = c.Stats(ctx, api.StatsRequest{}); err != nil {
+			return api.StatsResult{}, fmt.Errorf("%s: %w", addrs[i], err)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return out, err
-	}
-	if !found {
-		return out, errors.New("adaptrm_requests_submitted_total not found in /metrics")
-	}
-	return out, nil
+	return api.MergeStats(res), nil
 }
 
 func printReport(w io.Writer, addr string, rps float64, concurrency int, elapsed time.Duration, st *soakStats, before, after, shedDelta int64, scraped, reconciled bool) {
@@ -429,7 +368,7 @@ func printReport(w io.Writer, addr string, rps float64, concurrency int, elapsed
 	}
 	switch {
 	case !scraped:
-		fmt.Fprintf(w, "server:    /metrics scrape failed\n")
+		fmt.Fprintf(w, "server:    stats query failed\n")
 	case reconciled:
 		fmt.Fprintf(w, "server:    submitted %d → %d (delta %d) — reconciles with client count\n",
 			before, after, after-before)

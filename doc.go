@@ -220,9 +220,9 @@
 //     gauges. The cross-topology equivalence suite pins one in-process
 //     fleet against the router over two live HTTP nodes sharing the
 //     ring: identical verdicts, job ids, merged statistics and
-//     per-device event logs (internal/router; scripts/
-//     multi-node-smoke.sh re-proves it over real sockets in CI, dead
-//     peer included).
+//     per-device event logs (internal/router; the multi-node row of
+//     internal/e2e re-proves it over real sockets, dead peer
+//     included).
 //
 // # Operating rmserve
 //
@@ -266,10 +266,10 @@
 //
 // cmd/rmsoak is the matching load harness: an open-loop soak of a live
 // daemon driving the same seeded traces the replay mode uses, with
-// client-side HDR latency percentiles per op kind and a /metrics
-// scrape before and after that must reconcile exactly with the
-// client's own counts (-strict fails CI otherwise; see
-// scripts/smoke-soak.sh and benchmarks/README.md for recorded runs).
+// client-side HDR latency percentiles per op kind and a /v1/stats
+// read before and after that must reconcile exactly with the client's
+// own counts (-strict fails CI otherwise; see the smoke row of
+// internal/e2e and benchmarks/README.md for recorded runs).
 //
 // # Adaptive control and graceful degradation
 //
@@ -310,8 +310,8 @@
 // decisions, a routed deployment reports the worst tier across its
 // backends, and rmsoak counts overloaded refusals separately from
 // transport errors so an intentionally-shedding daemon still passes
-// -strict reconciliation (scripts/smoke-soak.sh drives a 5x overload
-// stage in CI; the controller tick is allocation-free, gated by
+// -strict reconciliation (the overload row of internal/e2e drives a 5x
+// overload soak; the controller tick is allocation-free, gated by
 // BenchmarkControlTick).
 //
 // # Durability and recovery
@@ -328,8 +328,9 @@
 // seeds the device, and the tail replays through the same manager
 // transitions that produced it, so the recovered /v1/stats and
 // executed timelines are byte-identical to the persisted prefix of the
-// pre-crash state (scripts/crash-recovery.sh proves this in CI with a
-// real SIGKILLed daemon). The writer never sits on the admission path:
+// pre-crash state (the crash rows of internal/e2e prove this with a
+// real SIGKILLed daemon; go test ./internal/e2e -run 'TestE2E/crash' -v
+// runs them alone). The writer never sits on the admission path:
 // appends happen on a per-device goroutine behind the same bounded
 // buffers as any other watch subscriber, and if the subscription ever
 // lags past the retained history the writer rescues itself with an
