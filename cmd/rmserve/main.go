@@ -64,7 +64,7 @@
 //	        [-refine] [-refine-budget N] [-refine-workers K]
 //	        [-control [-control-interval D] [-control-max-window F]
 //	         [-control-high-latency D]]
-//	        [-resched] [-data-dir DIR [-fsync MODE]] [-v]
+//	        [-data-dir DIR [-fsync MODE]] [-v]
 //	rmserve -listen :8080 [-token SECRET | -tenants FILE.json]
 //	        [-quota-rate R [-quota-burst B]]
 //	        [-pprof-token SECRET] [-flightlog-size N]
@@ -95,6 +95,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -109,7 +110,6 @@ import (
 	"adaptrm/internal/httpapi"
 	"adaptrm/internal/placement"
 	"adaptrm/internal/platform"
-	"adaptrm/internal/rm"
 	"adaptrm/internal/router"
 	"adaptrm/internal/schedcache"
 	"adaptrm/internal/schedreg"
@@ -144,7 +144,6 @@ type config struct {
 	control                  bool
 	ctlInterval, ctlLatency  time.Duration
 	ctlMaxWindow             float64
-	resched                  bool
 	eventHistory             int
 	dataDir                  string
 	fsync                    durable.FsyncPolicy
@@ -202,7 +201,6 @@ func parseConfig(args []string) (config, error) {
 	fs.DurationVar(&c.ctlLatency, "control-high-latency", 0, "mean admission latency per tick that counts as overload with -control (0 = queue-depth signal only)")
 	fs.IntVar(&c.burst, "burst", 0, "burst size: requests per arrival event (replay mode; ≤1 = plain Poisson)")
 	fs.Float64Var(&c.burstWindow, "burst-window", 0, "spread of a burst's arrivals in seconds (replay mode; 0 = coincident)")
-	fs.BoolVar(&c.resched, "resched", false, "re-run the scheduler at every job completion")
 	fs.IntVar(&c.eventHistory, "event-history", 0, "per-device retained-event window for watch resumes (0 = default 1024)")
 	fs.StringVar(&c.dataDir, "data-dir", "", "persist the event log and snapshots in this directory and recover from it on start")
 	fs.StringVar(&fsync, "fsync", "interval", "WAL fsync policy with -data-dir: always|interval|never")
@@ -243,6 +241,11 @@ func parseConfig(args []string) (config, error) {
 	default:
 		c.tenantsNote = "open access (no -token/-tenants)"
 	}
+	for _, name := range []string{"cache-size", "cache-slack", "mailbox", "batch-window", "event-history", "flightlog-size", "ring-replicas"} {
+		if v, _ := strconv.ParseFloat(fs.Lookup(name).Value.String(), 64); !(v >= 0) {
+			return c, fmt.Errorf("-%s %s: want a non-negative number", name, fs.Lookup(name).Value)
+		}
+	}
 	if c.route {
 		if c.listen == "" {
 			return c, errors.New("-route requires -listen")
@@ -260,6 +263,15 @@ func parseConfig(args []string) (config, error) {
 
 	if c.devices <= 0 {
 		return c, fmt.Errorf("-devices %d: need at least one device", c.devices)
+	}
+	if c.shards <= 0 {
+		return c, fmt.Errorf("-shards %d: need at least one shard", c.shards)
+	}
+	if c.control && c.ctlInterval <= 0 {
+		return c, fmt.Errorf("-control-interval %v: want a positive interval", c.ctlInterval)
+	}
+	if _, err := schedreg.New(c.sched); err != nil {
+		return c, err
 	}
 	var err error
 	if c.fsync, err = durable.ParseFsyncPolicy(fsync); err != nil {
@@ -369,7 +381,6 @@ func runNode(ctx context.Context, cfg config, ln net.Listener, stdout io.Writer)
 	opt := fleet.Options{
 		Shards:        cfg.shards,
 		MailboxSize:   cfg.mailbox,
-		Manager:       rm.Options{RescheduleOnFinish: cfg.resched},
 		Cache:         cfg.cache,
 		CacheParams:   schedcache.Params{Capacity: cfg.cacheSize, SlackBucket: cfg.cacheSlack},
 		BatchWindow:   cfg.batchWindow,
@@ -419,7 +430,7 @@ func runNode(ctx context.Context, cfg config, ln net.Listener, stdout io.Writer)
 	// replayed through the deterministic manager transitions — and a
 	// writer then tails the live event streams back into it.
 	f, walState, err := buildFleet(devs, opt, cfg.dataDir, durable.Meta{
-		Devices: cfg.devices, Scheduler: cfg.sched, Cache: cfg.cache, RescheduleOnFinish: cfg.resched,
+		Devices: cfg.devices, Scheduler: cfg.sched, Cache: cfg.cache,
 	})
 	if err != nil {
 		return err

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	rmsim [-sched mdf|lr|exmem|greedy|fixed|fixed-remap] [-rate R]
-//	      [-horizon T] [-seed S] [-resched] [-motivational]
+//	      [-horizon T] [-seed S] [-motivational]
 package main
 
 import (
@@ -21,7 +21,6 @@ import (
 	"adaptrm/internal/motiv"
 	"adaptrm/internal/opset"
 	"adaptrm/internal/platform"
-	"adaptrm/internal/rm"
 	"adaptrm/internal/schedreg"
 	"adaptrm/internal/schedule"
 	"adaptrm/internal/workload"
@@ -32,7 +31,6 @@ func main() {
 	rate := flag.Float64("rate", 0.15, "mean arrivals per second")
 	horizon := flag.Float64("horizon", 300, "trace duration in seconds")
 	seed := flag.Int64("seed", 1, "trace seed")
-	resched := flag.Bool("resched", false, "re-run the scheduler at every job completion")
 	motivational := flag.Bool("motivational", false, "replay the paper's Section III scenario instead of a random trace")
 	flag.Parse()
 
@@ -67,9 +65,7 @@ func main() {
 	fmt.Printf("scheduler: %s\n", scheduler.Name())
 	fmt.Printf("trace:     %d requests\n\n", len(trace))
 
-	res, err := desim.Simulate(trace, lib, plat, scheduler, desim.Options{
-		Manager: rm.Options{RescheduleOnFinish: *resched},
-	})
+	res, err := desim.Simulate(trace, lib, plat, scheduler, desim.Options{})
 	if err != nil {
 		fatal(err)
 	}

@@ -80,7 +80,7 @@
 //     connections — and the client's Watch is channel-based and itself
 //     a WatchService, so the equivalence suite pins both transports to
 //     byte-identical event logs that reconstruct the managers' own
-//     admission statistics and executed timelines; a future gRPC
+//     admission statistics and completion times; a future gRPC
 //     streaming binding inherits that contract. Tenants can also be
 //     paced, not just budgeted: Tenant.Rate/Burst attach a token bucket
 //     (a k-item batch costs k tokens, refusals reserve nothing,
@@ -326,8 +326,8 @@
 // torn tails from a mid-write crash are physically truncated, never an
 // error — the newest snapshot that anchors a contiguous event tail
 // seeds the device, and the tail replays through the same manager
-// transitions that produced it, so the recovered /v1/stats and
-// executed timelines are byte-identical to the persisted prefix of the
+// transitions that produced it, so the recovered /v1/stats, active
+// jobs and schedules are byte-identical to the persisted prefix of the
 // pre-crash state (the crash rows of internal/e2e prove this with a
 // real SIGKILLed daemon; go test ./internal/e2e -run 'TestE2E/crash' -v
 // runs them alone). The writer never sits on the admission path:

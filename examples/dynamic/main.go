@@ -36,8 +36,8 @@ func main() {
 		}
 		for _, req := range trace {
 			// Completions between arrivals happen implicitly inside
-			// Submit's time advance; explicit stepping is only needed
-			// for completion-triggered rescheduling (see package desim).
+			// Submit's time advance; package desim steps the clock
+			// explicitly only to record the executed timeline.
 			if _, _, _, err := mgr.Submit(req.At, req.App, req.Deadline); err != nil {
 				log.Fatal(err)
 			}

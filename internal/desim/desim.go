@@ -1,8 +1,11 @@
 // Package desim drives the online runtime manager with a timed request
-// trace in a discrete-event simulation: arrivals, job completions and
-// (optionally) completion-triggered rescheduling are processed in time
-// order, producing an event log, executed-timeline segments for Gantt
-// rendering, and the manager's acceptance/energy statistics.
+// trace in a discrete-event simulation: arrivals and job completions are
+// processed in time order, producing an event log, the executed timeline
+// for Gantt rendering, and the manager's acceptance/energy statistics.
+// The manager keeps no history: around each call that moves the clock
+// the simulator clips the schedule in force to the window the clock
+// moved over (schedule.Executed). No such call re-plans, so the clip is
+// exactly what ran.
 package desim
 
 import (
@@ -64,7 +67,7 @@ type Result struct {
 	Events []Event
 	// Stats is the manager's final accounting.
 	Stats rm.Stats
-	// Timeline is the executed schedule (merged segments).
+	// Timeline is the executed schedule, each job cut at its completion.
 	Timeline []schedule.Segment
 }
 
@@ -91,49 +94,44 @@ func Simulate(trace []workload.Request, lib *opset.Library, plat platform.Platfo
 		return nil, err
 	}
 	res := &Result{}
-	// Completion-triggered rescheduling happens inside the manager:
-	// AdvanceTo re-plans automatically when RescheduleOnFinish is set.
-	record := func(done []rm.Completion) {
+	// advance runs one call that moves the clock and records what ran.
+	advance := func(call func() ([]rm.Completion, error)) error {
+		before, running, k := mgr.Now(), mgr.ActiveJobs(), mgr.CurrentSchedule()
+		done, err := call()
+		if err != nil {
+			return err
+		}
+		finished := make(map[int]float64, len(done))
 		for _, c := range done {
+			finished[c.JobID] = c.At
 			res.Events = append(res.Events, Event{
 				Time: c.At, Kind: Completion, JobID: c.JobID, Missed: c.Missed,
 			})
 		}
+		res.Timeline = append(res.Timeline, k.Executed(running, before, mgr.Now(), finished)...)
+		return nil
 	}
 	for _, req := range reqs {
-		// Process completions strictly before the arrival so that
-		// completion-triggered rescheduling sees the true state.
-		for {
-			next, ok := mgr.NextCompletion()
-			if !ok || next > req.At {
-				break
-			}
-			done, err := mgr.AdvanceTo(next)
-			if err != nil {
-				return nil, err
-			}
-			record(done)
+		if err := advance(func() ([]rm.Completion, error) { return mgr.AdvanceTo(req.At) }); err != nil {
+			return nil, err
 		}
 		if opt.Predictor != nil {
 			opt.Predictor.Observe(req.At, req.App)
 		}
-		id, accepted, done, err := mgr.Submit(req.At, req.App, req.Deadline)
+		// The clock already stands at req.At, so Submit completes nothing.
+		id, accepted, _, err := mgr.Submit(req.At, req.App, req.Deadline)
 		if err != nil {
 			return nil, fmt.Errorf("desim: submit at %v: %w", req.At, err)
 		}
-		record(done)
 		res.Events = append(res.Events, Event{
 			Time: req.At, Kind: Arrival, App: req.App, JobID: id, Accepted: accepted,
 		})
 	}
-	done, err := mgr.Drain()
-	if err != nil {
+	if err := advance(mgr.Drain); err != nil {
 		return nil, err
 	}
-	record(done)
 	sort.SliceStable(res.Events, func(i, j int) bool { return res.Events[i].Time < res.Events[j].Time })
 	res.Stats = mgr.Stats()
-	res.Timeline = mgr.ExecutedTimeline()
 	return res, nil
 }
 

@@ -11,7 +11,6 @@ import (
 	"adaptrm/internal/lagrange"
 	"adaptrm/internal/motiv"
 	"adaptrm/internal/platform"
-	"adaptrm/internal/rm"
 	"adaptrm/internal/sched"
 	"adaptrm/internal/workload"
 )
@@ -99,25 +98,6 @@ func TestRandomTraceInvariants(t *testing.T) {
 		if res.Stats.Energy <= 0 {
 			t.Errorf("%s: no energy accounted", s.Name())
 		}
-	}
-}
-
-// RescheduleOnFinish must not increase energy on the motivational trace.
-func TestRescheduleOnFinishOption(t *testing.T) {
-	trace := []workload.Request{
-		{At: 0, App: "lambda1", Deadline: 9},
-		{At: 1, App: "lambda2", Deadline: 5},
-	}
-	res, err := Simulate(trace, motiv.Library(), motiv.Platform(), core.New(),
-		Options{Manager: rm.Options{RescheduleOnFinish: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.DeadlineMisses != 0 {
-		t.Error("deadline missed with rescheduling")
-	}
-	if res.Stats.Energy > 14.63+0.01 {
-		t.Errorf("energy %.3f worse than the static plan", res.Stats.Energy)
 	}
 }
 

@@ -1,7 +1,9 @@
 package durable_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -69,7 +71,7 @@ func newHarness(t testing.TB, n int, seed int64, opt fleet.Options) *harness {
 	}
 	h := &harness{
 		t: t, n: n, opt: opt,
-		meta: durable.Meta{Devices: n, Scheduler: "edf-mdf", RescheduleOnFinish: opt.Manager.RescheduleOnFinish},
+		meta: durable.Meta{Devices: n, Scheduler: "edf-mdf"},
 		f:    f,
 		rng:  rand.New(rand.NewSource(seed)),
 		now:  make([]float64, n),
@@ -263,11 +265,76 @@ func TestOpenMetaMismatch(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesCompletionReplans: a data dir whose meta says its
+// manager re-planned on every job completion holds schedule changes no
+// current manager makes, so Open refuses it by name before reading any
+// log.
+func TestOpenRefusesCompletionReplans(t *testing.T) {
+	dir := t.TempDir()
+	meta := `{"version": 1, "devices": 2, "scheduler": "edf-mdf", "cache": false, "reschedule_on_finish": true}`
+	if err := os.WriteFile(filepath.Join(dir, "meta.json"), []byte(meta), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := durable.Open(dir, durable.Meta{Devices: 2, Scheduler: "edf-mdf"})
+	if !errors.Is(err, durable.ErrCompletionReplans) || !errors.Is(err, durable.ErrMetaMismatch) {
+		t.Fatalf("got %v, want ErrCompletionReplans wrapping ErrMetaMismatch", err)
+	}
+}
+
+// TestOpenParentWrittenDir recovers a version-1 data dir written by a
+// build that still kept the executed timeline in every snapshot and
+// recorded "reschedule_on_finish": false in its meta (testdata/v1: a
+// kill image of two devices; device 0 recovers from its snapshot,
+// device 1, whose snapshot was removed, replays its whole log). Each
+// device must recover byte-identical to the state the writing build
+// recorded live at its last sequence, minus that timeline.
+func TestOpenParentWrittenDir(t *testing.T) {
+	dir := copyDir(t, filepath.Join("testdata", "v1"))
+	st, err := durable.Open(dir, durable.Meta{Devices: 2, Scheduler: "edf-mdf"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Snapshots != 1 || st.Events == 0 {
+		t.Fatalf("fixture should recover one device per path: %+v", st)
+	}
+	rec := make(map[int]fleet.DeviceRecovery, len(st.Devices))
+	for dev, ds := range st.Devices {
+		rec[dev] = fleet.DeviceRecovery{Snapshot: ds.Snapshot, Events: ds.Events}
+	}
+	f, _, err := fleet.Recover(testConfigs(2), fleet.Options{}, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for dev := 0; dev < 2; dev++ {
+		raw, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("v1-want-dev-%04d.json", dev)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(raw, []byte(`"executed"`)) {
+			t.Fatalf("device %d: the fixture lost its executed timeline", dev)
+		}
+		var want rm.Snapshot
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := f.DeviceSnapshot(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := json.Marshal(normSnap(snap))
+		wantRaw, _ := json.Marshal(&want)
+		if !bytes.Equal(got, wantRaw) {
+			t.Errorf("device %d recovered\n got  %s\n want %s", dev, got, wantRaw)
+		}
+	}
+}
+
 // TestCleanShutdownRecovery is the happy path: traffic, clean close
 // (final snapshot per device), reopen — every device byte-identical at
 // its final sequence, recovered from snapshot plus an empty tail.
 func TestCleanShutdownRecovery(t *testing.T) {
-	h := newHarness(t, 3, 41, fleet.Options{Shards: 2, Manager: rm.Options{RescheduleOnFinish: true}})
+	h := newHarness(t, 3, 41, fleet.Options{Shards: 2})
 	dir := t.TempDir()
 	h.attach(dir, durable.Options{Fsync: durable.FsyncNever, SegmentBytes: 1 << 10, SnapshotEvery: 64})
 	h.drive(160)
@@ -292,7 +359,7 @@ func TestCleanShutdownRecovery(t *testing.T) {
 // gap-free across the restart — and a third recovery checks the
 // combined history, exercising fsync=always on the continuation.
 func TestKillRecovery(t *testing.T) {
-	h := newHarness(t, 2, 43, fleet.Options{Manager: rm.Options{RescheduleOnFinish: true}})
+	h := newHarness(t, 2, 43, fleet.Options{})
 	dir := t.TempDir()
 	h.attach(dir, durable.Options{Fsync: durable.FsyncIntervalPolicy, FsyncEvery: 5 * time.Millisecond, SegmentBytes: 1 << 10, SnapshotEvery: 32})
 	h.drive(120)
@@ -319,7 +386,7 @@ func TestKillRecovery(t *testing.T) {
 // property test at the full-system level (the frame-level sweep lives
 // in frame_test.go).
 func TestTornTailRecovery(t *testing.T) {
-	h := newHarness(t, 2, 47, fleet.Options{Manager: rm.Options{RescheduleOnFinish: true}})
+	h := newHarness(t, 2, 47, fleet.Options{})
 	dir := t.TempDir()
 	// Huge SnapshotEvery: no snapshots exist in the crash image, so
 	// recovery is log-only replay and torn tails actually bite (a clean
@@ -365,7 +432,7 @@ func TestTornTailRecovery(t *testing.T) {
 // history. Also covers recovery when snapshots exist but early
 // segments do not.
 func TestLagRescue(t *testing.T) {
-	h := newHarness(t, 2, 53, fleet.Options{EventHistory: 16, Manager: rm.Options{RescheduleOnFinish: true}})
+	h := newHarness(t, 2, 53, fleet.Options{EventHistory: 16})
 	h.drive(80) // well past 16 retained events per device, no writer yet
 	dir := t.TempDir()
 	h.attach(dir, durable.Options{Fsync: durable.FsyncNever, SnapshotEvery: 1 << 20})
@@ -385,7 +452,7 @@ func TestLagRescue(t *testing.T) {
 // (the worst case: every event replays). Reported events/s feeds
 // benchmarks/README.md.
 func BenchmarkRecovery(b *testing.B) {
-	h := newHarness(b, 1, 61, fleet.Options{Manager: rm.Options{RescheduleOnFinish: true}})
+	h := newHarness(b, 1, 61, fleet.Options{})
 	dir := b.TempDir()
 	h.attach(dir, durable.Options{Fsync: durable.FsyncNever, SnapshotEvery: 1 << 20})
 	h.drive(400)
@@ -433,7 +500,7 @@ func BenchmarkRecovery(b *testing.B) {
 // every event, because NewWriter subscribes synchronously and the
 // fleet's shutdown drain delivers everything before ending streams.
 func TestImmediateShutdown(t *testing.T) {
-	h := newHarness(t, 2, 59, fleet.Options{Manager: rm.Options{RescheduleOnFinish: true}})
+	h := newHarness(t, 2, 59, fleet.Options{})
 	dir := t.TempDir()
 	h.attach(dir, durable.Options{Fsync: durable.FsyncNever})
 	h.drive(30)

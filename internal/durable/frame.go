@@ -31,11 +31,11 @@
 // retained two deep, so a snapshot torn by a crash never strands
 // recovery: the previous one still anchors the log. A fleet recovered
 // from snapshot+tail or from log-only replay reconstructs per-device
-// stats, clocks and executed timelines byte-identical to the pre-crash
-// process at the same sequence number — with one documented exception:
-// a batch whose joint solve failed leaves no event trace of the failed
-// attempt, so replay undercounts Stats.Activations by exactly those
-// solves (admission verdicts, energy and timelines are unaffected).
+// state byte-identical to the pre-crash process at the same sequence
+// number — with one documented exception: a batch whose joint solve
+// failed leaves no event trace of the failed attempt, so replay
+// undercounts Stats.Activations by exactly those solves (admission
+// verdicts, energy and schedules are unaffected).
 // The schedule cache is a performance artifact, not admission state;
 // it restarts cold after snapshot recovery.
 package durable

@@ -14,6 +14,11 @@ import (
 // configuration than the one opening it.
 var ErrMetaMismatch = errors.New("durable: data dir belongs to a different fleet configuration")
 
+// ErrCompletionReplans flags a data dir written with re-planning on
+// every job completion: its log holds schedule changes inside clock
+// advances, which the manager no longer makes, so it cannot replay.
+var ErrCompletionReplans = fmt.Errorf("%w: written with reschedule_on_finish, which this build no longer runs", ErrMetaMismatch)
+
 // framePos locates one decoded event's frame on disk, so the tail can
 // be truncated to a logical cut after replay drops a partial unit.
 type framePos struct {

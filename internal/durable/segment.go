@@ -169,12 +169,11 @@ type Meta struct {
 	Scheduler string `json:"scheduler"`
 	// Cache records whether the schedule cache was enabled.
 	Cache bool `json:"cache"`
-	// RescheduleOnFinish records the manager option of the same name
-	// (it changes the event grammar, so it must match on recovery).
-	RescheduleOnFinish bool `json:"reschedule_on_finish"`
 }
 
-// metaVersion is the current on-disk format version.
+// metaVersion is the current on-disk format version. It did not move
+// when snapshots dropped their "executed" timeline (decoding ignores
+// it) and meta its "reschedule_on_finish" (loadMeta refuses true).
 const metaVersion = 1
 
 func loadMeta(dir string) (Meta, bool, error) {
@@ -185,11 +184,17 @@ func loadMeta(dir string) (Meta, bool, error) {
 	if err != nil {
 		return Meta{}, false, err
 	}
-	var m Meta
+	var m struct {
+		Meta
+		Replans bool `json:"reschedule_on_finish"` // see ErrCompletionReplans
+	}
 	if err := json.Unmarshal(data, &m); err != nil {
 		return Meta{}, false, fmt.Errorf("durable: %s/%s: %w", dir, metaName, err)
 	}
-	return m, true, nil
+	if m.Replans {
+		return Meta{}, false, fmt.Errorf("%w: %s/%s", ErrCompletionReplans, dir, metaName)
+	}
+	return m.Meta, true, nil
 }
 
 func storeMeta(dir string, m Meta) error {

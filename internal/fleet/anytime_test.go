@@ -11,6 +11,7 @@ import (
 	"adaptrm/internal/core"
 	"adaptrm/internal/opset"
 	"adaptrm/internal/platform"
+	"adaptrm/internal/rm"
 	"adaptrm/internal/schedcache"
 	"adaptrm/internal/workload"
 )
@@ -212,7 +213,7 @@ func TestFleetAnytimeWarmServesExact(t *testing.T) {
 // aggregate statistics.
 func TestFleetRefinePassiveEquivalence(t *testing.T) {
 	const n, seed, ops = 3, 77, 120
-	run := func(opt Options) ([]deviceState, [][]api.Event, Stats) {
+	run := func(opt Options) ([]rm.Snapshot, [][]api.Event, Stats) {
 		f := newTestFleet(t, n, opt)
 		ch, err := f.Service().Watch(ctxBG, api.WatchRequest{Buffer: 1 << 14})
 		if err != nil {
@@ -221,7 +222,7 @@ func TestFleetRefinePassiveEquivalence(t *testing.T) {
 		evs, wait := collectWatch(ch)
 		now := make([]float64, n)
 		driveRecoveryTraffic(t, f, n, seed, ops, now, false)
-		states := make([]deviceState, n)
+		states := make([]rm.Snapshot, n)
 		for d := 0; d < n; d++ {
 			states[d] = captureDevice(t, f, d, false)
 		}
@@ -232,7 +233,7 @@ func TestFleetRefinePassiveEquivalence(t *testing.T) {
 		logs := perDeviceLogs(*evs, n)
 		for d := 0; d < n; d++ {
 			cut := len(logs[d])
-			for cut > 0 && logs[d][cut-1].Seq > states[d].Seq {
+			for cut > 0 && logs[d][cut-1].Seq > states[d].EventSeq {
 				cut--
 			}
 			logs[d] = logs[d][:cut]
@@ -297,8 +298,8 @@ func TestRecoverSwapEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := captureDevice(t, f, 0, false)
-	if want.Stats.Swapped != 1 {
-		t.Fatalf("fixture produced no swap: %+v", want.Stats)
+	if want.Swapped != 1 {
+		t.Fatalf("fixture produced no swap: %+v", want)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
@@ -306,7 +307,7 @@ func TestRecoverSwapEquivalence(t *testing.T) {
 	wait()
 	log := perDeviceLogs(*evs, 1)[0]
 	cut := len(log)
-	for cut > 0 && log[cut-1].Seq > want.Seq {
+	for cut > 0 && log[cut-1].Seq > want.EventSeq {
 		cut--
 	}
 	log = log[:cut]
@@ -330,8 +331,8 @@ func TestRecoverSwapEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("recovered state differs:\n got %+v\nwant %+v", got, want)
 	}
-	if res := results[0]; res.AppliedSeq != want.Seq || res.Dropped != 0 {
-		t.Errorf("recovery result %+v, want applied %d dropped 0", res, want.Seq)
+	if res := results[0]; res.AppliedSeq != want.EventSeq || res.Dropped != 0 {
+		t.Errorf("recovery result %+v, want applied %d dropped 0", res, want.EventSeq)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"adaptrm/internal/api"
 	"adaptrm/internal/control"
 	"adaptrm/internal/motiv"
+	"adaptrm/internal/rm"
 	"adaptrm/internal/workload"
 )
 
@@ -23,7 +24,7 @@ import (
 func TestControllerSteadyLightLoadEquivalence(t *testing.T) {
 	const n, seed, ops = 3, 21, 120
 
-	run := func(ctl *control.Controller) ([]deviceState, api.StatsResult, []api.Event) {
+	run := func(ctl *control.Controller) ([]rm.Snapshot, api.StatsResult, []api.Event) {
 		t.Helper()
 		f := newTestFleet(t, n, Options{Shards: 2, Control: ctl})
 		svc := f.Service()
@@ -64,7 +65,7 @@ func TestControllerSteadyLightLoadEquivalence(t *testing.T) {
 		close(stop)
 		tick.Wait()
 
-		states := make([]deviceState, n)
+		states := make([]rm.Snapshot, n)
 		for d := 0; d < n; d++ {
 			states[d] = captureDevice(t, f, d, false)
 		}
@@ -268,7 +269,7 @@ func TestRecoverRestoresMode(t *testing.T) {
 		t.Fatalf("snapshot mode = %q, want shedding", snap.Mode)
 	}
 
-	states := make([]deviceState, 2)
+	states := make([]rm.Snapshot, 2)
 	for d := range states {
 		states[d] = captureDevice(t, live, d, false)
 	}
@@ -279,7 +280,7 @@ func TestRecoverRestoresMode(t *testing.T) {
 	logs := perDeviceLogs(*evs, 2)
 	for d := range logs {
 		cut := len(logs[d])
-		for cut > 0 && logs[d][cut-1].Seq > states[d].Seq {
+		for cut > 0 && logs[d][cut-1].Seq > states[d].EventSeq {
 			cut--
 		}
 		logs[d] = logs[d][:cut]

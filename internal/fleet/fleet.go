@@ -973,19 +973,6 @@ func (f *Fleet) DeviceStats(dev int) (rm.Stats, error) {
 	return d.mgr.Stats(), nil
 }
 
-// DeviceTimeline returns a copy of a device's executed timeline — the
-// schedule fractions actually run so far — for audits and for the
-// watch-equivalence suite, which replays an event log against it.
-func (f *Fleet) DeviceTimeline(dev int) ([]schedule.Segment, error) {
-	if dev < 0 || dev >= len(f.devices) {
-		return nil, f.deviceErr(dev)
-	}
-	d := f.devices[dev]
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.mgr.ExecutedTimeline(), nil
-}
-
 // DeviceNow returns a device's current virtual time.
 func (f *Fleet) DeviceNow(dev int) (float64, error) {
 	if dev < 0 || dev >= len(f.devices) {

@@ -26,11 +26,13 @@ package fleet
 // carried in the payload verbatim (rm.ReplayMode) instead of
 // re-deciding it.
 //
-// where derived* is any run of started / completed / schedule_changed
-// events produced while the clock moves (including reschedule-on-finish
-// re-plans). Sequential submits at the same instant interleave their
-// schedule_changed terminators, so a run of consecutive admissions
-// closed by a single schedule_changed is unambiguously a joint batch.
+// where derived* is any run of started / completed events produced
+// while the clock moves. schedule_changed is only ever a terminator: a
+// clock advance never re-plans, so a schedule_changed outside a unit's
+// closing position is a parse error. Sequential submits at the same
+// instant interleave their schedule_changed terminators, so a run of
+// consecutive admissions closed by a single schedule_changed is
+// unambiguously a joint batch.
 // A batch whose joint solve failed falls back to the sequential path
 // and therefore logs — and replays — as individual submits; the only
 // trace of the failed joint attempt is one scheduler activation, which
@@ -208,7 +210,7 @@ type replayOp struct {
 // derivedEvent reports the event kinds that never start a unit on their
 // own: they are produced inside the op whose anchor follows them.
 func derivedEvent(t api.EventType) bool {
-	return t == api.EventJobStarted || t == api.EventJobCompleted || t == api.EventScheduleChanged
+	return t == api.EventJobStarted || t == api.EventJobCompleted
 }
 
 // parseReplayOps reconstructs the manager-call sequence from an event

@@ -10,36 +10,24 @@ import (
 	"adaptrm/internal/core"
 	"adaptrm/internal/motiv"
 	"adaptrm/internal/rm"
-	"adaptrm/internal/schedule"
 )
 
-// deviceState is the comparable recovered-vs-live state of one device.
-type deviceState struct {
-	Now      float64
-	Seq      uint64
-	Stats    rm.Stats
-	Timeline []schedule.Segment
-}
-
-func captureDevice(t *testing.T, f *Fleet, dev int, zeroActivations bool) deviceState {
+// captureDevice returns one device's full state — clock, event
+// sequence, counters, active jobs and the schedule in force — in the
+// comparable snapshot form. SchedulingTimeNs is wall clock and zeroed;
+// zeroActivations also zeroes Activations, which replay undercounts by
+// a batch's failed joint solves.
+func captureDevice(t *testing.T, f *Fleet, dev int, zeroActivations bool) rm.Snapshot {
 	t.Helper()
-	st, err := f.DeviceStats(dev)
+	s, err := f.DeviceSnapshot(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SchedulingTime = 0 // wall clock, non-deterministic
+	s.SchedulingTimeNs = 0
 	if zeroActivations {
-		st.Activations = 0
+		s.Activations = 0
 	}
-	tl, err := f.DeviceTimeline(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now, err := f.DeviceNow(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return deviceState{Now: now, Seq: f.DeviceEventSeqs()[dev], Stats: st, Timeline: tl}
+	return *s
 }
 
 // driveRecoveryTraffic pushes seeded deterministic per-device traffic
@@ -122,9 +110,9 @@ func testDeviceConfig() DeviceConfig {
 // TestRecoverEquivalence is the kill-and-recover equivalence bar of the
 // durability subsystem at the fleet layer: a fleet rebuilt from (a) the
 // full event log, (b) a mid-traffic snapshot plus the log tail, and
-// (c) the snapshot alone reconstructs per-device stats, clocks and
-// executed timelines byte-identical to the live fleet at the same
-// sequence number.
+// (c) the snapshot alone reconstructs per-device state — stats, clock,
+// active jobs and schedule — byte-identical to the live fleet at the
+// same sequence number.
 func TestRecoverEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -139,7 +127,7 @@ func TestRecoverEquivalence(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 3
-			opt := Options{Shards: 2, Manager: rm.Options{RescheduleOnFinish: true}}
+			opt := Options{Shards: 2}
 			live := newTestFleet(t, n, opt)
 			svc := live.Service()
 			ch, err := svc.Watch(ctxBG, api.WatchRequest{Buffer: 1 << 14})
@@ -154,7 +142,7 @@ func TestRecoverEquivalence(t *testing.T) {
 			// so each device is quiescent and the snapshot aligns with a
 			// definite log position.
 			midSnaps := make([]*rm.Snapshot, n)
-			midStates := make([]deviceState, n)
+			midStates := make([]rm.Snapshot, n)
 			for d := 0; d < n; d++ {
 				s, err := live.DeviceSnapshot(d)
 				if err != nil {
@@ -165,7 +153,7 @@ func TestRecoverEquivalence(t *testing.T) {
 			}
 			driveRecoveryTraffic(t, live, n, tc.seed+1000, 80, now, tc.withBatches)
 
-			finalStates := make([]deviceState, n)
+			finalStates := make([]rm.Snapshot, n)
 			for d := 0; d < n; d++ {
 				finalStates[d] = captureDevice(t, live, d, tc.withBatches)
 			}
@@ -178,13 +166,13 @@ func TestRecoverEquivalence(t *testing.T) {
 			// captured before Close.
 			for d := 0; d < n; d++ {
 				cut := len(logs[d])
-				for cut > 0 && logs[d][cut-1].Seq > finalStates[d].Seq {
+				for cut > 0 && logs[d][cut-1].Seq > finalStates[d].EventSeq {
 					cut--
 				}
 				logs[d] = logs[d][:cut]
 			}
 
-			check := func(mode string, rec map[int]DeviceRecovery, want []deviceState) {
+			check := func(mode string, rec map[int]DeviceRecovery, want []rm.Snapshot) {
 				t.Helper()
 				recDevs := make([]DeviceConfig, n)
 				for i := range recDevs {
@@ -201,8 +189,8 @@ func TestRecoverEquivalence(t *testing.T) {
 						t.Errorf("%s: device %d state differs:\n got %+v\nwant %+v", mode, d, got, want[d])
 					}
 					res := results[d]
-					if res.AppliedSeq != want[d].Seq || res.Dropped != 0 {
-						t.Errorf("%s: device %d result %+v, want applied %d dropped 0", mode, d, res, want[d].Seq)
+					if res.AppliedSeq != want[d].EventSeq || res.Dropped != 0 {
+						t.Errorf("%s: device %d result %+v, want applied %d dropped 0", mode, d, res, want[d].EventSeq)
 					}
 				}
 			}
@@ -324,5 +312,33 @@ func TestRecoverRejectsBadLogs(t *testing.T) {
 	if _, _, err := Recover([]DeviceConfig{testDeviceConfig()}, Options{},
 		map[int]DeviceRecovery{3: {}}); !errors.Is(err, ErrRecovery) {
 		t.Errorf("out-of-range device: %v, want ErrRecovery", err)
+	}
+}
+
+// TestParseRefusesDerivedScheduleChange: a clock advance never
+// re-plans, so schedule_changed only closes an admission or a
+// cancellation. One between an advance's completions and its
+// clock_advanced anchor — the shape a completion re-plan used to log —
+// is a parse error, not a derived event.
+func TestParseRefusesDerivedScheduleChange(t *testing.T) {
+	unit := []api.Event{
+		{Seq: 1, Type: api.EventJobAdmitted, At: 0, JobID: 1, App: "lambda1", Deadline: 9},
+		{Seq: 2, Type: api.EventScheduleChanged, At: 0},
+		{Seq: 3, Type: api.EventJobStarted, At: 0, JobID: 1},
+		{Seq: 4, Type: api.EventJobCompleted, At: 6, JobID: 1},
+	}
+	clean := append(append([]api.Event{}, unit...), api.Event{Seq: 5, Type: api.EventClockAdvanced, At: 7})
+	if ops, cut, err := parseReplayOps(clean); err != nil || len(ops) != 2 || cut != len(clean) {
+		t.Fatalf("clean log: %d ops, cut %d, %v", len(ops), cut, err)
+	}
+	stray := append(append([]api.Event{}, unit...),
+		api.Event{Seq: 5, Type: api.EventScheduleChanged, At: 6},
+		api.Event{Seq: 6, Type: api.EventClockAdvanced, At: 7})
+	if _, _, err := parseReplayOps(stray); err == nil {
+		t.Fatal("schedule_changed in derived position parsed")
+	}
+	if _, _, err := Recover([]DeviceConfig{testDeviceConfig()}, Options{},
+		map[int]DeviceRecovery{0: {Events: stray}}); !errors.Is(err, ErrRecovery) {
+		t.Errorf("recovery from the stray log: %v, want ErrRecovery", err)
 	}
 }

@@ -528,33 +528,13 @@ func replayEvents(t *testing.T, evs []api.Event) (map[int]*eventCounters, map[in
 	return counters, spans
 }
 
-// timelineSpans extracts each job's executed extent from a recorded
-// timeline.
-func timelineSpans(tl []schedule.Segment) map[int]*jobSpan {
-	spans := map[int]*jobSpan{}
-	for _, seg := range tl {
-		for _, p := range seg.Placements {
-			sp := spans[p.JobID]
-			if sp == nil {
-				spans[p.JobID] = &jobSpan{start: seg.Start, end: seg.End}
-				continue
-			}
-			if seg.Start < sp.start {
-				sp.start = seg.Start
-			}
-			if seg.End > sp.end {
-				sp.end = seg.End
-			}
-		}
-	}
-	return spans
-}
-
 // TestWatchReplayEquivalence is the in-process half of the acceptance
 // contract: for a seeded FleetTrace (with cancellations mixed in), the
 // event log received by a fleet-wide watcher reconstructs the admission
-// statistics and every job's executed extent byte-identically to the
-// managers' own reports.
+// statistics byte-identically to the managers' own reports, and every
+// job's completion time to the completions the service calls returned.
+// (That each job starts where its schedule first runs it is pinned at
+// the manager, against the clipped timeline.)
 func TestWatchReplayEquivalence(t *testing.T) {
 	const devices = 3
 	f := newTestFleet(t, devices, Options{Shards: 2})
@@ -572,11 +552,21 @@ func TestWatchReplayEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	var admitted []int // (device, id) pairs flattened as device*1e6+id
+	completed := make([]map[int]float64, devices)
+	for d := range completed {
+		completed[d] = map[int]float64{}
+	}
+	record := func(d int, cs []api.Completion) {
+		for _, c := range cs {
+			completed[d][c.JobID] = c.At
+		}
+	}
 	for i, r := range trace {
 		res, err := svc.Submit(ctxBG, api.SubmitRequest{Device: r.Device, At: r.At, App: r.App, Deadline: r.Deadline})
 		if err != nil && !errors.Is(err, api.ErrInfeasible) {
 			t.Fatalf("trace %d: %v", i, err)
 		}
+		record(r.Device, res.Completions)
 		if res.Accepted {
 			admitted = append(admitted, r.Device*1e6+res.JobID)
 		}
@@ -590,9 +580,16 @@ func TestWatchReplayEquivalence(t *testing.T) {
 		}
 	}
 
-	// Snapshot the per-device ground truth before Close's drain, then
-	// close (draining emits the remaining completions into the log) and
-	// compare against post-drain truth.
+	// Run every device past its last deadline through the service, so
+	// the service calls return every completion; Close then has nothing
+	// left to drain.
+	for d := 0; d < devices; d++ {
+		res, err := svc.Advance(ctxBG, api.AdvanceRequest{Device: d, To: 1e4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		record(d, res.Completions)
+	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -611,35 +608,22 @@ func TestWatchReplayEquivalence(t *testing.T) {
 			c.completed != ds.Completed || c.cancelled != ds.Cancelled || c.missed != ds.DeadlineMisses {
 			t.Errorf("device %d: replayed counters %+v ≠ manager stats %+v", d, *c, ds)
 		}
-		tl, err := f.DeviceTimeline(d)
-		if err != nil {
-			t.Fatal(err)
+		if len(completed[d]) != ds.Completed {
+			t.Errorf("device %d: service returned %d completions, manager counts %d", d, len(completed[d]), ds.Completed)
 		}
-		truth := timelineSpans(tl)
 		replayed := spans[d]
 		for id, sp := range replayed {
-			if math.IsNaN(sp.end) {
-				// Started but cancelled before finishing: the timeline may
-				// legitimately end earlier; only the start is pinned.
-				tsp := truth[id]
-				if tsp == nil || tsp.start != sp.start {
-					t.Errorf("device %d job %d: replayed start %v, timeline %+v", d, id, sp.start, tsp)
-				}
-				continue
-			}
-			tsp := truth[id]
-			if tsp == nil {
-				t.Errorf("device %d job %d: replayed span %+v, absent from timeline", d, id, *sp)
-				continue
-			}
-			if tsp.start != sp.start || tsp.end != sp.end {
-				t.Errorf("device %d job %d: replayed span [%v, %v] ≠ timeline [%v, %v]",
-					d, id, sp.start, sp.end, tsp.start, tsp.end)
+			at, done := completed[d][id]
+			switch {
+			case math.IsNaN(sp.end) && done:
+				t.Errorf("device %d job %d completed at %v, never in the event log", d, id, at)
+			case !math.IsNaN(sp.end) && (!done || at != sp.end):
+				t.Errorf("device %d job %d: replayed completion %v, service returned %v (%v)", d, id, sp.end, at, done)
 			}
 		}
-		for id := range truth {
+		for id := range completed[d] {
 			if replayed[id] == nil {
-				t.Errorf("device %d job %d executed but never appeared in the event log", d, id)
+				t.Errorf("device %d job %d completed but never appeared in the event log", d, id)
 			}
 		}
 	}

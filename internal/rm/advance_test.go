@@ -3,6 +3,7 @@ package rm
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"adaptrm/internal/schedule"
@@ -61,9 +62,9 @@ func TestAdvanceToEpsilonClampWithTraffic(t *testing.T) {
 }
 
 // TestExecutedTimelineTruncation: a job finishing inside an executed
-// slice must not be shown running past its completion — the timeline is
-// cut at each distinct finish time (the PR 4 truncation, pinned in
-// isolation via one long advance over staggered completions).
+// slice must not be shown running past its completion — the clipped
+// timeline is cut at each distinct finish time (pinned in isolation via
+// one long advance over staggered completions).
 func TestExecutedTimelineTruncation(t *testing.T) {
 	m := newMgr(t, Options{})
 	if _, ok, _, err := m.Submit(0, "lambda1", 9); err != nil || !ok {
@@ -72,12 +73,9 @@ func TestExecutedTimelineTruncation(t *testing.T) {
 	if _, ok, _, err := m.Submit(1, "lambda2", 5); err != nil || !ok {
 		t.Fatalf("λ2: %v", err)
 	}
-	// One giant advance spans both completions: the recorded timeline
+	// One giant advance spans both completions: the clipped timeline
 	// must still stop each job at its own finish.
-	done, err := m.AdvanceTo(100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	done, tl := clipped(t, m, func() ([]Completion, error) { return m.AdvanceTo(100) })
 	if len(done) != 2 {
 		t.Fatalf("completions = %+v, want 2", done)
 	}
@@ -89,7 +87,6 @@ func TestExecutedTimelineTruncation(t *testing.T) {
 			last = c.At
 		}
 	}
-	tl := m.ExecutedTimeline()
 	if len(tl) == 0 {
 		t.Fatal("empty executed timeline")
 	}
@@ -129,6 +126,98 @@ func TestExecutedTimelineTruncation(t *testing.T) {
 		}
 		if math.Abs(span-f) > schedule.Eps {
 			t.Errorf("job %d recorded until %v, completed at %v", id, span, f)
+		}
+	}
+}
+
+// clipped runs one call that may move m's clock and returns its
+// completions together with what ran meanwhile: the schedule in force
+// before the call, clipped to the window the clock moved over and cut
+// at the returned completions.
+func clipped(t *testing.T, m *Manager, call func() ([]Completion, error)) ([]Completion, []schedule.Segment) {
+	t.Helper()
+	before, running, k := m.Now(), m.ActiveJobs(), m.CurrentSchedule()
+	done, err := call()
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished := make(map[int]float64, len(done))
+	for _, c := range done {
+		finished[c.JobID] = c.At
+	}
+	return done, k.Executed(running, before, m.Now(), finished)
+}
+
+// TestEventsMatchClippedTimeline: the schedule changes only inside the
+// calls that decide, so clipping the schedule in force around every
+// call that moves the clock reproduces what ran. Each job's JobStarted
+// time is where its first clipped placement begins and its
+// JobCompleted time where its last one ends, under seeded traffic with
+// cancellations.
+func TestEventsMatchClippedTimeline(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		m := newMgr(t, Options{})
+		var evs []Event
+		m.SetEventSink(func(ev Event) { evs = append(evs, ev) })
+		var tl []schedule.Segment
+		record := func(call func() ([]Completion, error)) {
+			_, segs := clipped(t, m, call)
+			tl = append(tl, segs...)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		apps := []string{"lambda1", "lambda2"}
+		now := 0.0
+		var ids []int
+		for i := 0; i < 80; i++ {
+			switch rng.Intn(4) {
+			case 0, 1:
+				app, deadline := apps[rng.Intn(len(apps))], now+1+rng.Float64()*9
+				record(func() ([]Completion, error) {
+					id, ok, done, err := m.Submit(now, app, deadline)
+					if ok {
+						ids = append(ids, id)
+					}
+					return done, err
+				})
+			case 2:
+				now += rng.Float64() * 3
+				record(func() ([]Completion, error) { return m.AdvanceTo(now) })
+			case 3:
+				if len(ids) > 0 {
+					_ = m.Cancel(ids[rng.Intn(len(ids))])
+				}
+			}
+		}
+		record(m.Drain)
+
+		type span struct{ start, end float64 }
+		ran := map[int]*span{}
+		for _, seg := range tl {
+			for _, p := range seg.Placements {
+				if s := ran[p.JobID]; s == nil {
+					ran[p.JobID] = &span{seg.Start, seg.End}
+				} else {
+					s.end = seg.End
+				}
+			}
+		}
+		started, completed := 0, 0
+		for _, ev := range evs {
+			switch ev.Type {
+			case EventJobStarted:
+				started++
+				if s := ran[ev.JobID]; s == nil || s.start != ev.At {
+					t.Errorf("seed %d: job %d started at %v, clipped timeline %+v", seed, ev.JobID, ev.At, s)
+				}
+			case EventJobCompleted:
+				completed++
+				if s := ran[ev.JobID]; s == nil || s.end != ev.At {
+					t.Errorf("seed %d: job %d completed at %v, clipped timeline %+v", seed, ev.JobID, ev.At, s)
+				}
+			}
+		}
+		if started != len(ran) || completed == 0 {
+			t.Errorf("seed %d: %d jobs ran, %d started events, %d completed events", seed, len(ran), started, completed)
 		}
 	}
 }

@@ -77,25 +77,27 @@ type batchScript struct {
 }
 
 // runScript drives a script through either the batch or the sequential
-// path on a fresh manager and returns the manager plus the verdict log.
-func runScript(t *testing.T, script []batchScript, opt Options, batched bool) (*Manager, [][]Verdict) {
+// path on a fresh manager and returns the manager, the verdict log and
+// the timeline the steps executed.
+func runScript(t *testing.T, script []batchScript, opt Options, batched bool) (*Manager, [][]Verdict, []schedule.Segment) {
 	t.Helper()
 	m := newMgr(t, opt)
 	var log [][]Verdict
+	var tl []schedule.Segment
 	for _, s := range script {
 		var vs []Verdict
-		var err error
-		if batched {
-			vs, _, err = m.SubmitBatch(s.t, s.reqs)
-		} else {
-			vs, _, err = submitSequential(m, s.t, s.reqs)
-		}
-		if err != nil {
-			t.Fatalf("script step at t=%v: %v", s.t, err)
-		}
+		_, segs := clipped(t, m, func() (done []Completion, err error) {
+			if batched {
+				vs, done, err = m.SubmitBatch(s.t, s.reqs)
+			} else {
+				vs, done, err = submitSequential(m, s.t, s.reqs)
+			}
+			return done, err
+		})
 		log = append(log, vs)
+		tl = append(tl, segs...)
 	}
-	return m, log
+	return m, log, tl
 }
 
 // TestSubmitBatchEquivalentToSequential drives mixed scripts — feasible
@@ -127,8 +129,8 @@ func TestSubmitBatchEquivalentToSequential(t *testing.T) {
 	}
 	for name, script := range scripts {
 		t.Run(name, func(t *testing.T) {
-			seqM, seqLog := runScript(t, script, Options{}, false)
-			batM, batLog := runScript(t, script, Options{}, true)
+			seqM, seqLog, seqTL := runScript(t, script, Options{}, false)
+			batM, batLog, batTL := runScript(t, script, Options{}, true)
 			for i := range seqLog {
 				sameVerdicts(t, batLog[i], seqLog[i])
 			}
@@ -138,20 +140,18 @@ func TestSubmitBatchEquivalentToSequential(t *testing.T) {
 			if got, want := batM.CurrentSchedule(), seqM.CurrentSchedule(); !reflect.DeepEqual(got, want) {
 				t.Errorf("final schedules diverged:\nbatch %+v\nseq   %+v", got, want)
 			}
-			if got, want := batM.ExecutedTimeline(), seqM.ExecutedTimeline(); !reflect.DeepEqual(got, want) {
-				t.Errorf("executed timelines diverged:\nbatch %+v\nseq   %+v", got, want)
+			if !reflect.DeepEqual(batTL, seqTL) {
+				t.Errorf("executed timelines diverged:\nbatch %+v\nseq   %+v", batTL, seqTL)
 			}
-			// Draining both must finish the same jobs with the same energy.
-			sd, err := seqM.Drain()
-			if err != nil {
-				t.Fatal(err)
-			}
-			bd, err := batM.Drain()
-			if err != nil {
-				t.Fatal(err)
-			}
+			// Draining both must finish the same jobs along the same
+			// timeline with the same energy.
+			sd, stl := clipped(t, seqM, seqM.Drain)
+			bd, btl := clipped(t, batM, batM.Drain)
 			if !reflect.DeepEqual(sd, bd) {
 				t.Errorf("drain completions diverged:\nbatch %+v\nseq   %+v", bd, sd)
+			}
+			if !reflect.DeepEqual(stl, btl) {
+				t.Errorf("drained timelines diverged:\nbatch %+v\nseq   %+v", btl, stl)
 			}
 			if got, want := stripWallClock(batM.Stats()), stripWallClock(seqM.Stats()); got != want {
 				t.Errorf("post-drain stats diverged:\nbatch %+v\nseq   %+v", got, want)
@@ -178,8 +178,8 @@ func TestSubmitBatchEquivalenceOnTrace(t *testing.T) {
 		}
 		script = append(script, batchScript{t: slot, reqs: []Request{{App: r.App, Deadline: r.Deadline}}})
 	}
-	seqM, seqLog := runScript(t, script, Options{}, false)
-	batM, batLog := runScript(t, script, Options{}, true)
+	seqM, seqLog, _ := runScript(t, script, Options{}, false)
+	batM, batLog, _ := runScript(t, script, Options{}, true)
 	for i := range seqLog {
 		sameVerdicts(t, batLog[i], seqLog[i])
 	}
@@ -291,7 +291,8 @@ func TestAdvanceToClampsClock(t *testing.T) {
 
 // TestExecutedTimelineTruncatedAtCompletion: a job finishing inside an
 // executed slice must not be recorded as running past its completion
-// time — the audit timeline is cut at each distinct completion.
+// time — the timeline clipped from the schedule in force is cut at each
+// distinct completion.
 func TestExecutedTimelineTruncatedAtCompletion(t *testing.T) {
 	m := newMgr(t, Options{})
 	id1, ok, _, err := m.Submit(0, "lambda1", 9)
@@ -302,12 +303,9 @@ func TestExecutedTimelineTruncatedAtCompletion(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatal("λ2 rejected")
 	}
-	// Jump far past both completions in one advance: the old recorder
-	// would stretch both jobs to the last segment end.
-	done, err := m.AdvanceTo(50)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Jump far past both completions in one advance: a clip that ignored
+	// completions would stretch both jobs to the last segment end.
+	done, tl := clipped(t, m, func() ([]Completion, error) { return m.AdvanceTo(50) })
 	finish := map[int]float64{}
 	for _, c := range done {
 		finish[c.JobID] = c.At
@@ -316,7 +314,7 @@ func TestExecutedTimelineTruncatedAtCompletion(t *testing.T) {
 		t.Fatalf("completions %+v, want both jobs", done)
 	}
 	last := map[int]float64{}
-	for _, seg := range m.ExecutedTimeline() {
+	for _, seg := range tl {
 		if seg.End <= seg.Start {
 			t.Errorf("degenerate executed segment %+v", seg)
 		}
@@ -330,46 +328,5 @@ func TestExecutedTimelineTruncatedAtCompletion(t *testing.T) {
 		if math.Abs(last[id]-finish[id]) > 1e-6 {
 			t.Errorf("job %d recorded until %v, finished at %v", id, last[id], finish[id])
 		}
-	}
-}
-
-// TestRescheduleOnFinishFiresOnAdvance pins the bugfix: completions
-// observed through a plain AdvanceTo (the service path) must trigger
-// the promised re-plan, visible as extra scheduler activations.
-func TestRescheduleOnFinishFiresOnAdvance(t *testing.T) {
-	run := func(opt Options) Stats {
-		m := newMgr(t, opt)
-		if _, ok, _, err := m.Submit(0, "lambda1", 9); err != nil || !ok {
-			t.Fatal("λ1 rejected")
-		}
-		if _, ok, _, err := m.Submit(0, "lambda2", 60); err != nil || !ok {
-			t.Fatal("λ2 rejected")
-		}
-		// Advance exactly to the first completion: the advance retires
-		// one job while the other is still active — the re-plan case.
-		next, ok := m.NextCompletion()
-		if !ok {
-			t.Fatal("no planned completion")
-		}
-		done, err := m.AdvanceTo(next)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(done) != 1 || len(m.ActiveJobs()) != 1 {
-			t.Fatalf("fixture: %d completions, %d active, want 1 and 1", len(done), len(m.ActiveJobs()))
-		}
-		if _, err := m.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		return m.Stats()
-	}
-	plain := run(Options{})
-	replan := run(Options{RescheduleOnFinish: true})
-	if replan.Activations <= plain.Activations {
-		t.Errorf("RescheduleOnFinish dead on the advance path: %d ≤ %d activations",
-			replan.Activations, plain.Activations)
-	}
-	if replan.Completed != plain.Completed || replan.DeadlineMisses != 0 {
-		t.Errorf("re-plan changed outcomes: %+v vs %+v", replan, plain)
 	}
 }

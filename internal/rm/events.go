@@ -21,8 +21,9 @@ const (
 	EventJobCompleted EventType = "job_completed"
 	// EventJobCancelled: the job was aborted while active.
 	EventJobCancelled EventType = "job_cancelled"
-	// EventScheduleChanged: the active schedule was replaced (admission,
-	// cancellation re-plan, or a reschedule-on-finish).
+	// EventScheduleChanged: the active schedule was replaced by an
+	// admission or a cancellation re-plan. It always closes the call
+	// that caused it; a clock advance never emits it.
 	EventScheduleChanged EventType = "schedule_changed"
 	// EventScheduleSwapped: anytime refinement replaced the active
 	// schedule with a strictly cheaper one (SwapSchedule). Unlike

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"adaptrm/internal/api"
@@ -79,13 +78,6 @@ type Stats struct {
 
 // Options tunes the manager.
 type Options struct {
-	// RescheduleOnFinish re-runs the scheduler whenever a job finishes,
-	// exploiting the freed resources (Section I: "when an application
-	// finishes execution, more resources become available and the RM
-	// can generate new mappings"). MMKP-MDF already plans the full
-	// horizon, so this is optional polish; it never invalidates
-	// admitted jobs because the previous schedule is kept on failure.
-	RescheduleOnFinish bool
 	// Fallback, when non-nil, is the cheap heuristic scheduler used in
 	// place of the configured one while the manager's degradation mode
 	// is ModeHeuristicOnly or higher (SetMode) — typically the plain
@@ -104,22 +96,14 @@ type Manager struct {
 	scheduler sched.Scheduler
 	opt       Options
 
-	now      float64
-	nextID   int
-	active   job.Set
-	current  *schedule.Schedule
-	executed []schedule.Segment
-	stats    Stats
+	now     float64
+	nextID  int
+	active  job.Set
+	current *schedule.Schedule
+	stats   Stats
 	// mode is the degradation tier (see mode.go); from
 	// ModeHeuristicOnly up, schedule() prefers opt.Fallback.
 	mode api.Mode
-
-	// Advance-accounting scratch, reused across AdvanceTo calls so the
-	// activation hot path stays free of bookkeeping allocations (the
-	// recorded timeline segments themselves are owned output and must
-	// allocate).
-	execScratch []executedPlacement
-	endsScratch []float64
 
 	// Event plumbing (see events.go): sink observes lifecycle events,
 	// eventSeq numbers them, started tracks which active jobs already
@@ -169,14 +153,6 @@ func (m *Manager) ActiveJobs() job.Set { return m.active.Clone() }
 // mutate it without racing the manager's own bookkeeping.
 func (m *Manager) CurrentSchedule() *schedule.Schedule { return m.current.Clone() }
 
-// ExecutedTimeline returns the segments actually executed so far, for
-// Gantt rendering and audits.
-func (m *Manager) ExecutedTimeline() []schedule.Segment {
-	out := make([]schedule.Segment, len(m.executed))
-	copy(out, m.executed)
-	return out
-}
-
 // NextCompletion returns the earliest planned job completion after the
 // current time, or ok=false when nothing is running.
 func (m *Manager) NextCompletion() (float64, bool) {
@@ -197,9 +173,9 @@ func (m *Manager) NextCompletion() (float64, bool) {
 // the current schedule and retiring finished jobs. It returns the
 // completions that occurred in (now, t]. A target inside the epsilon
 // band just below the current time is tolerated but never moves the
-// clock backwards. When RescheduleOnFinish is set and the advance
-// retired at least one job, the remaining jobs are re-planned on the
-// freed resources before returning (see OnCompletion).
+// clock backwards. The schedule in force is never re-planned here:
+// what ran over (now, t] is that schedule cut at the returned
+// completions (schedule.Executed).
 //
 // An explicit advance that moves the clock emits EventClockAdvanced
 // after the progress events, so the event log records every clock
@@ -227,7 +203,6 @@ func (m *Manager) advanceTo(t float64) ([]Completion, error) {
 		if hi-lo <= schedule.Eps {
 			continue
 		}
-		execs := m.execScratch[:0]
 		for _, p := range seg.Placements {
 			j := m.active.ByID(p.JobID)
 			if j == nil {
@@ -242,7 +217,6 @@ func (m *Manager) advanceTo(t float64) ([]Completion, error) {
 			m.stats.Energy += pt.Energy * frac
 			finishedAt := lo + j.Remaining*pt.Time
 			j.Remaining -= frac
-			end := hi
 			if j.Remaining <= 1e-9 {
 				c := Completion{JobID: j.ID, At: math.Min(finishedAt, hi)}
 				if c.At > j.Deadline+1e-6 {
@@ -254,58 +228,12 @@ func (m *Manager) advanceTo(t float64) ([]Completion, error) {
 				m.removeJob(j.ID)
 				m.forget(j.ID)
 				m.emit(Event{Type: EventJobCompleted, At: c.At, JobID: j.ID, Missed: c.Missed})
-				end = c.At
 			}
-			execs = append(execs, executedPlacement{p: p, end: end})
 		}
-		m.recordExecuted(lo, hi, execs)
-		m.execScratch = execs[:0]
 	}
 	// Clamp: a t inside the epsilon band must not regress the clock.
 	m.now = math.Max(m.now, t)
-	if len(done) > 0 {
-		m.OnCompletion()
-	}
 	return done, nil
-}
-
-// executedPlacement is one placement of an executed slice together with
-// the time its job actually stopped running inside the slice.
-type executedPlacement struct {
-	p   schedule.Placement
-	end float64
-}
-
-// recordExecuted appends the executed fraction [lo,hi] of one schedule
-// segment to the audit timeline, truncating every placement at its
-// job's completion time: a job that finished at end < hi must not be
-// shown running past it. The slice is cut at each distinct completion
-// time, so the recorded timeline stays a sequence of non-overlapping
-// segments.
-func (m *Manager) recordExecuted(lo, hi float64, execs []executedPlacement) {
-	if len(execs) == 0 {
-		return
-	}
-	ends := m.endsScratch[:0]
-	for _, e := range execs {
-		ends = append(ends, e.end)
-	}
-	sort.Float64s(ends)
-	m.endsScratch = ends[:0]
-	prev := lo
-	for _, e := range ends {
-		if e-prev <= schedule.Eps {
-			continue
-		}
-		var ps []schedule.Placement
-		for _, r := range execs {
-			if r.end >= e-schedule.Eps {
-				ps = append(ps, r.p)
-			}
-		}
-		m.executed = append(m.executed, schedule.Segment{Start: prev, End: e, Placements: ps})
-		prev = e
-	}
 }
 
 func (m *Manager) removeJob(id int) {
@@ -504,24 +432,6 @@ func (m *Manager) admitJointly(t float64, reqs []Request, tables []*opset.Table,
 	}
 	m.emit(Event{Type: EventScheduleChanged, At: t})
 	return true
-}
-
-// OnCompletion lets the manager react to a finish event: with
-// RescheduleOnFinish it re-plans the remaining jobs on the freed
-// resources, keeping the old schedule when the scheduler fails.
-//
-// AdvanceTo invokes it automatically whenever an advance retires a job,
-// so every path that observes completions — Submit, SubmitBatch, Drain,
-// the fleet service — honours the option; callers only need it to force
-// a re-plan outside a completion event.
-func (m *Manager) OnCompletion() {
-	if !m.opt.RescheduleOnFinish || len(m.active) == 0 {
-		return
-	}
-	if k, err := m.schedule(m.active.Clone(), m.now); err == nil {
-		m.current = k
-		m.emit(Event{Type: EventScheduleChanged, At: m.now})
-	}
 }
 
 // schedule invokes the pluggable scheduler with stats accounting. In a

@@ -58,10 +58,11 @@ type Snapshot struct {
 	// Started lists the active job ids that already emitted JobStarted,
 	// in ascending order.
 	Started []int `json:"started,omitempty"`
-	// Current is the active schedule's segments.
+	// Current is the active schedule's segments. Nothing else of the
+	// device's history is kept: a snapshot's size follows the active
+	// jobs, not the uptime. (Snapshots of earlier builds also carry an
+	// "executed" timeline; decoding ignores it.)
 	Current []SnapshotSegment `json:"current,omitempty"`
-	// Executed is the audit timeline of executed fractions.
-	Executed []SnapshotSegment `json:"executed,omitempty"`
 }
 
 // SnapshotJob is one active job in wire form. The operating-point table
@@ -128,16 +129,23 @@ func (m *Manager) Snapshot() *Snapshot {
 	}
 	sort.Ints(s.Started)
 	s.Current = segmentsToWire(m.current.Segments)
-	s.Executed = segmentsToWire(m.executed)
 	return s
 }
 
 // Restore loads a snapshot into a freshly constructed manager: same
 // platform/library/scheduler/options as the snapshotted one, no traffic
-// yet. It resolves application tables by name, rebuilds the active set,
-// schedule and executed timeline, and positions the clock, job ids and
-// event sequence exactly where the snapshot left them. No events are
-// emitted; the next emitted event continues the sequence.
+// yet. It resolves application tables by name, rebuilds the active set
+// and schedule, and positions the clock, job ids and event sequence
+// exactly where the snapshot left them. No events are emitted; the next
+// emitted event continues the sequence.
+//
+// The schedule must be one the restored manager can run: every segment
+// has End ≥ Start, and every placement names an active job and one of
+// its table's operating points. The one exception is history: a job
+// that completed keeps its already-executed placements in the schedule
+// until the next re-plan, so a placement of an issued id (below NextID)
+// that is no longer active is accepted in a segment that began by the
+// clock.
 func (m *Manager) Restore(s *Snapshot) error {
 	if s == nil {
 		return fmt.Errorf("%w: nil", ErrRestore)
@@ -177,13 +185,28 @@ func (m *Manager) Restore(s *Snapshot) error {
 			return fmt.Errorf("%w: started job %d not active", ErrRestore, id)
 		}
 	}
+	for _, seg := range s.Current {
+		if seg.End < seg.Start {
+			return fmt.Errorf("%w: segment [%v, %v] ends before it starts", ErrRestore, seg.Start, seg.End)
+		}
+		for _, p := range seg.Placements {
+			j := active.ByID(p.Job)
+			switch {
+			case j != nil:
+				if p.Point < 0 || p.Point >= len(j.Table.Points) {
+					return fmt.Errorf("%w: job %d placed at point %d of %d", ErrRestore, p.Job, p.Point, len(j.Table.Points))
+				}
+			case p.Job <= 0 || p.Job >= s.NextID || seg.Start > s.Now+schedule.Eps:
+				return fmt.Errorf("%w: segment [%v, %v] places job %d, which is not active", ErrRestore, seg.Start, seg.End, p.Job)
+			}
+		}
+	}
 	m.now = s.Now
 	m.nextID = s.NextID
 	m.eventSeq = s.EventSeq
 	m.mode = mode
 	m.active = active
 	m.current = &schedule.Schedule{Segments: segmentsFromWire(s.Current)}
-	m.executed = segmentsFromWire(s.Executed)
 	m.stats = Stats{
 		Submitted:      s.Submitted,
 		Accepted:       s.Accepted,

@@ -6,6 +6,11 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"adaptrm/internal/core"
+	"adaptrm/internal/dse"
+	"adaptrm/internal/platform"
+	"adaptrm/internal/workload"
 )
 
 // managerState is everything a snapshot must reproduce, in comparable
@@ -15,7 +20,6 @@ type managerState struct {
 	Stats    Stats
 	Active   []SnapshotJob
 	Current  []SnapshotSegment
-	Executed []SnapshotSegment
 	EventSeq uint64
 }
 
@@ -28,7 +32,6 @@ func captureState(m *Manager) managerState {
 		Stats:    st,
 		Active:   s.Active,
 		Current:  s.Current,
-		Executed: s.Executed,
 		EventSeq: m.EventSeq(),
 	}
 }
@@ -81,7 +84,7 @@ func driveTraffic(t *testing.T, m *Manager, seed int64, ops int, start float64) 
 // including event sequence numbering.
 func TestSnapshotRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		m := newMgr(t, Options{RescheduleOnFinish: seed%2 == 0})
+		m := newMgr(t, Options{})
 		var evs []Event
 		m.SetEventSink(func(ev Event) { evs = append(evs, ev) })
 		driveTraffic(t, m, seed, 60, 0)
@@ -94,7 +97,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(raw, &snap); err != nil {
 			t.Fatal(err)
 		}
-		r := newMgr(t, Options{RescheduleOnFinish: seed%2 == 0})
+		r := newMgr(t, Options{})
 		var revs []Event
 		r.SetEventSink(func(ev Event) { revs = append(revs, ev) })
 		if err := r.Restore(&snap); err != nil {
@@ -151,5 +154,100 @@ func TestRestoreValidation(t *testing.T) {
 	}
 	if err := fresh().Restore(&Snapshot{NextID: 1, Started: []int{3}}); !errors.Is(err, ErrRestore) {
 		t.Errorf("started not active: %v", err)
+	}
+}
+
+// TestRestoreRefusesBadPlacements: a snapshot whose schedule a restored
+// manager cannot run is refused up front, instead of restoring cleanly
+// and panicking on the first AdvanceTo. lambda1 has fewer than 999
+// operating points.
+func TestRestoreRefusesBadPlacements(t *testing.T) {
+	active := []SnapshotJob{{ID: 1, App: "lambda1", Deadline: 9, Remaining: 1}}
+	for _, tc := range []struct {
+		name string
+		seg  SnapshotSegment
+	}{
+		{"point out of range", SnapshotSegment{Start: 0, End: 5, Placements: []SnapshotPlacement{{Job: 1, Point: 999}}}},
+		{"negative point", SnapshotSegment{Start: 0, End: 5, Placements: []SnapshotPlacement{{Job: 1, Point: -1}}}},
+		{"job not active", SnapshotSegment{Start: 1, End: 5, Placements: []SnapshotPlacement{{Job: 2, Point: 0}}}},
+		{"job never admitted", SnapshotSegment{Start: -2, End: -1, Placements: []SnapshotPlacement{{Job: 7, Point: 0}}}},
+		{"end before start", SnapshotSegment{Start: 5, End: 4, Placements: []SnapshotPlacement{{Job: 1, Point: 0}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newMgr(t, Options{})
+			err := m.Restore(&Snapshot{NextID: 3, Active: active, Current: []SnapshotSegment{tc.seg}})
+			if !errors.Is(err, ErrRestore) {
+				t.Fatalf("Restore = %v, want ErrRestore", err)
+			}
+		})
+	}
+	// A completed job keeps its already-executed placements in the
+	// schedule until the next re-plan, up to a segment starting at the
+	// clock when it completed on the boundary; a snapshot carrying them
+	// restores.
+	m := newMgr(t, Options{})
+	if err := m.Restore(&Snapshot{Now: 2, NextID: 3, Active: active, Current: []SnapshotSegment{
+		{Start: 0, End: 2, Placements: []SnapshotPlacement{{Job: 2, Point: 0}}},
+		{Start: 2, End: 5, Placements: []SnapshotPlacement{{Job: 1, Point: 0}, {Job: 2, Point: 0}}},
+	}}); err != nil {
+		t.Fatalf("history of a completed job refused: %v", err)
+	}
+	if _, err := m.AdvanceTo(3); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotSizeTracksActiveJobs: a device's snapshot is bounded by
+// the jobs it still schedules, not by how many it has served. One
+// manager is fed a seeded trace; its encoded snapshot after about
+// 20 000 submits must stay within a small constant of the one after
+// about 2 000.
+func TestSnapshotSizeTracksActiveJobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drives 20 000 admissions")
+	}
+	plat := platform.OdroidXU4()
+	lib, err := dse.StandardLibrary(plat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := workload.Trace(lib, workload.TraceParams{Rate: 0.5, Horizon: 42000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(plat, lib, core.New(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := func() (bytes, active int) {
+		s := m.Snapshot()
+		raw, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(raw), len(s.Active)
+	}
+	const small, large = 2000, 20000
+	if len(trace) < large {
+		t.Fatalf("trace holds %d requests, want %d", len(trace), large)
+	}
+	var at [2]struct{ bytes, active int }
+	for i, r := range trace[:large] {
+		if _, _, _, err := m.Submit(r.At, r.App, r.Deadline); err != nil {
+			t.Fatal(err)
+		}
+		switch i + 1 {
+		case small:
+			at[0].bytes, at[0].active = size()
+		case large:
+			at[1].bytes, at[1].active = size()
+		}
+	}
+	t.Logf("snapshot after %d submits: %d B (%d active); after %d: %d B (%d active)",
+		small, at[0].bytes, at[0].active, large, at[1].bytes, at[1].active)
+	const slack = 4 << 10
+	if d := at[1].bytes - at[0].bytes; d > slack || d < -slack {
+		t.Errorf("snapshot grew from %d B to %d B over %d more submits: it tracks uptime, not active jobs",
+			at[0].bytes, at[1].bytes, large-small)
 	}
 }

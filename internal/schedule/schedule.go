@@ -146,6 +146,50 @@ func (k *Schedule) ExecutedFraction(jobID int, jobs job.Set) float64 {
 	return frac
 }
 
+// Executed returns what ran of k while a manager's clock moved from
+// `from` to `to` along it: each segment clipped to that window, holding
+// the jobs running at `from`, each cut at its completion time in
+// finished (job id to time). A clipped segment is split at every
+// distinct completion inside it, so the result never overlaps.
+func (k *Schedule) Executed(running job.Set, from, to float64, finished map[int]float64) []Segment {
+	var out []Segment
+	for _, seg := range k.Segments {
+		lo, hi := math.Max(seg.Start, from), math.Min(seg.End, to)
+		if hi-lo <= Eps {
+			continue
+		}
+		var ps []Placement
+		var ends []float64 // ends[i]: when ps[i] stopped running
+		for _, p := range seg.Placements {
+			end, done := finished[p.JobID]
+			if running.ByID(p.JobID) == nil || done && end <= lo {
+				continue // not running, or completed in an earlier segment
+			}
+			if !done || end > hi {
+				end = hi
+			}
+			ps, ends = append(ps, p), append(ends, end)
+		}
+		cuts := append([]float64(nil), ends...)
+		sort.Float64s(cuts)
+		prev := lo
+		for _, e := range cuts {
+			if e-prev <= Eps {
+				continue
+			}
+			var live []Placement
+			for i, p := range ps {
+				if ends[i] >= e-Eps {
+					live = append(live, p)
+				}
+			}
+			out = append(out, Segment{Start: prev, End: e, Placements: live})
+			prev = e
+		}
+	}
+	return out
+}
+
 // Split cuts segment i at absolute time t, duplicating its placements
 // into both halves. It returns an error if t is not strictly inside the
 // segment (with Eps slack collapsed to a no-op: callers should not split

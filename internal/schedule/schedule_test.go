@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -213,5 +214,25 @@ func TestString(t *testing.T) {
 	s := k.String()
 	if !strings.Contains(s, "σ2") || !strings.Contains(s, "σ1") {
 		t.Errorf("String missing jobs: %q", s)
+	}
+}
+
+// TestExecutedClipsAndCuts: only the window the clock moved over is
+// kept, jobs no longer running are dropped, and a job completing inside
+// a segment is cut there while the others run on.
+func TestExecutedClipsAndCuts(t *testing.T) {
+	k := &Schedule{Segments: []Segment{
+		{Start: 0, End: 4, Placements: []Placement{{JobID: 1}, {JobID: 2}, {JobID: 3, Point: 1}}},
+		{Start: 4, End: 8, Placements: []Placement{{JobID: 2}, {JobID: 3, Point: 2}}},
+	}}
+	running := job.Set{{ID: 2}, {ID: 3}} // job 1 finished before the window
+	got := k.Executed(running, 2, 7, map[int]float64{3: 3})
+	want := []Segment{
+		{Start: 2, End: 3, Placements: []Placement{{JobID: 2}, {JobID: 3, Point: 1}}},
+		{Start: 3, End: 4, Placements: []Placement{{JobID: 2}}},
+		{Start: 4, End: 7, Placements: []Placement{{JobID: 2}}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Executed =\n %+v\nwant\n %+v", got, want)
 	}
 }

@@ -21,7 +21,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PATTERN=${ALLOC_BENCH_PATTERN:-'Fig4SearchTimeMDF|AblationPackEDF|WatchFanout|MetricsRecord|WALAppend|SharedTierLookup|ControlTick|WireCodec'}
+PATTERN=${ALLOC_BENCH_PATTERN:-'Fig4SearchTimeMDF|AblationPackEDF|OnlineManagerTrace|WatchFanout|MetricsRecord|WALAppend|SharedTierLookup|ControlTick|WireCodec'}
 TIME=${ALLOC_BENCH_TIME:-100x}
 BASELINE=benchmarks/allocs-baseline.txt
 
@@ -30,8 +30,9 @@ if [[ ! -f $BASELINE ]]; then
 	exit 1
 fi
 
-# The gated set spans the root package (scheduler hot path), the fleet
-# package (watch fan-out publish path), the metrics package (the HTTP
+# The gated set spans the root package (scheduler hot path, and one
+# manager serving a whole trace), the fleet package (watch fan-out
+# publish path), the metrics package (the HTTP
 # instrumentation's per-request recording path), the durable package
 # (the WAL frame-encode + segment-write append path), the schedcache
 # package (the shared-tier probe on the admission hot path), the
